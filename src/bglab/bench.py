@@ -9,6 +9,7 @@ timing would corrupt asymptotic comparisons.
 
 from __future__ import annotations
 
+import heapq
 import io
 import os
 import tempfile
@@ -96,8 +97,8 @@ def watch_counts(watches: list[WatchRecord],
 def select_topk(counts: dict[str, int], k: int) -> TopKResult:
     if k < 1:
         raise ValueError("k must be >= 1")
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return TopKResult(entries=tuple(ordered[:k]))
+    top = heapq.nsmallest(k, counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return TopKResult(entries=tuple(top))
 
 
 def topk_movies(movies: list[MovieRecord], watches: list[WatchRecord],

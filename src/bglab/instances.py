@@ -9,6 +9,7 @@ per-column weight lines) and the OR-library set-covering format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +72,9 @@ class BigraphInstance:
                     raise ValueError(f"row {r}: duplicate column {col}")
                 seen.add(col)
         for c, w in enumerate(self.col_weights, start=1):
-            if not w > 0:
-                raise ValueError(f"column {c}: nonpositive weight {w}")
+            if not 0 < w < math.inf:
+                raise ValueError(
+                    f"column {c}: nonpositive or non-finite weight {w}")
         if self.weight_kind == UNIT and any(w != 1.0 for w in self.col_weights):
             raise ValueError("unit instance with non-unit weights")
 

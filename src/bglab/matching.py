@@ -2,8 +2,10 @@
 
 Columns form the side the search augments from; ties are broken by ascending
 row index, columns are scanned in ascending index order, so results are
-deterministic for a fixed instance. A brute-force oracle over tiny instances
-backs the correctness tests.
+deterministic for a fixed instance. One solve allocates a single visit-stamp
+array of m_rows ints; column c's search marks rows with the stamp c + 1, so
+each search pays only for the rows it visits.
+A brute-force oracle over tiny instances backs the correctness tests.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def _column_adjacency(instance: BigraphInstance) -> list[list[int]]:
 
 
 def _augment(start: int, adj: list[list[int]], match_row: list[int],
-             seen: list[bool]) -> bool:
+             seen: list[int], stamp: int) -> bool:
     # Iterative alternating-path DFS; frames are (column, row-iterator,
     # row used to enter the column).
     stack = [(start, iter(adj[start]), -1)]
@@ -42,9 +44,9 @@ def _augment(start: int, adj: list[list[int]], match_row: list[int],
         col, row_iter, _ = stack[-1]
         advanced = False
         for r in row_iter:
-            if seen[r]:
+            if seen[r] == stamp:
                 continue
-            seen[r] = True
+            seen[r] = stamp
             owner = match_row[r]
             if owner == -1:
                 # free row found: flip matches along the stack
@@ -64,10 +66,10 @@ def max_matching(instance: BigraphInstance) -> MatchingResult:
     """Maximum matching of rows to columns for a unate instance."""
     adj = _column_adjacency(instance)
     match_row = [-1] * instance.m_rows
+    seen = [0] * instance.m_rows
     size = 0
     for c in range(instance.n_cols):
-        seen = [False] * instance.m_rows
-        if _augment(c, adj, match_row, seen):
+        if _augment(c, adj, match_row, seen, c + 1):
             size += 1
     pairs = tuple((r + 1, c + 1) for r, c in enumerate(match_row) if c != -1)
     return MatchingResult(size=size, pairs=pairs,

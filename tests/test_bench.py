@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bglab.bench import (PhaseTask, TopKResult, asymptotic_sweep, select_topk,
@@ -212,3 +214,11 @@ def test_matching_task_smoke():
 def test_select_topk_excludes_zero_counts():
     result = select_topk({"tt1": 2, "tt5": 1}, 5)
     assert result.entries == (("tt1", 2), ("tt5", 1))
+
+
+def test_select_topk_matches_full_sort_with_ties():
+    rng = random.Random(7)
+    counts = {f"tt{i}": rng.randint(1, 4) for i in range(200)}
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    for k in (1, 5, 37, 199, 200, 500):
+        assert select_topk(counts, k).entries == tuple(ordered[:k])

@@ -71,6 +71,21 @@ def test_stats_malformed_exits_2(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("name,text", [
+    ("inf.cnfW", "p cnf 2 1\nw 1 inf\n1 2 0\n"),
+    ("nan.cnfW", "p cnf 2 1\nw 1 nan\n1 2 0\n"),
+    ("inf.txt", "2 2\n3 inf\n1 1\n2 1 2\n"),
+    ("nan.txt", "2 2\nnan 5\n1 1\n2 1 2\n"),
+])
+def test_stats_non_finite_weight_exits_2(capsys, tmp_path, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    rc, out, err = run(capsys, "stats", str(bad))
+    assert rc == 2
+    assert "weight" in err
+    assert out == ""
+
+
 def test_stats_missing_file_exits_2(capsys):
     rc, _, err = run(capsys, "stats", "/no/such/file.cnfU")
     assert rc == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,10 @@ def test_instance_validation():
     with pytest.raises(ValueError, match="nonpositive"):
         BigraphInstance(name="w", n_cols=1, m_rows=1, rows=((1,),),
                         col_weights=(0.0,), weight_kind=WEIGHTED)
+    for w in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            BigraphInstance(name="w", n_cols=1, m_rows=1, rows=((1,),),
+                            col_weights=(w,), weight_kind=WEIGHTED)
     with pytest.raises(ValueError, match="non-unit"):
         BigraphInstance(name="u", n_cols=1, m_rows=1, rows=((1,),),
                         col_weights=(2.0,), weight_kind=UNIT)
@@ -208,10 +214,18 @@ def test_orlib_unit_override():
     ("2 2\n3 x\n1 1\n2 1 2\n", "bad cost"),
     ("0 2\n", "positive"),
     ("1 1\n1\n1 1\n9\n", "trailing"),
+    ("2 2\n3 inf\n1 1\n2 1 2\n", "non-finite"),
+    ("2 2\nnan 5\n1 1\n2 1 2\n", "non-finite"),
 ])
 def test_orlib_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         ingest_orlib(text)
+
+
+@pytest.mark.parametrize("weight", ["inf", "nan"])
+def test_parse_rejects_non_finite_weight(weight):
+    with pytest.raises(ValueError):
+        parse_cnf(f"p cnf 2 1\nw 1 {weight}\n1 2 0\n")
 
 
 def test_orlib_roundtrips_through_cnf():

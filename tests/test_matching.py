@@ -1,5 +1,9 @@
+import hashlib
+
 import pytest
 
+from bglab.bench import matching_task
+from bglab.generators import gen_random_instance
 from bglab.instances import (UNIT, BigraphInstance, UnateRequiredError,
                              parse_cnf)
 from bglab.library import chvatal_6_5, school_9_11
@@ -140,3 +144,40 @@ def test_deep_augmenting_chain():
     rows = [(1,)] + [(c, c + 1) for c in range(1, n)]
     inst = unit_instance(rows, n)
     assert max_matching(inst).size == n
+
+
+def scipy_matching_size(instance):
+    """Matching size from scipy's Hopcroft-Karp, an independent solver."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    from scipy.sparse import csr_matrix
+    indices = [lit - 1 for clause in instance.rows for lit in clause]
+    indptr = [0]
+    for clause in instance.rows:
+        indptr.append(indptr[-1] + len(clause))
+    graph = csr_matrix(([1] * len(indices), indices, indptr),
+                              shape=(instance.m_rows, instance.n_cols))
+    perm = csgraph.maximum_bipartite_matching(graph, perm_type="column")
+    return int((perm != -1).sum())
+
+
+@pytest.mark.parametrize("exp", range(6, 13))
+def test_matching_size_equals_scipy(exp):
+    m = 2 ** exp
+    # narrow, square-ish and wide column sides, sparse and denser rows
+    shapes = [(m // 2, 1, 3), (m, 1, 2), (2 * m, 1, 4), (m // 8, 2, 5)]
+    for seed, (n, deg_min, deg_max) in enumerate(shapes, start=exp):
+        inst = gen_random_instance(m, n, deg_min, deg_max, seed)
+        result = max_matching(inst)
+        assert result.size == scipy_matching_size(inst)
+        assert no_augmenting_path(inst, result.pairs)
+
+
+@pytest.mark.parametrize("exp,digest", [
+    (10, "33aeb812fcb59db93709203ea58f3c4da93c872a801d87b611ed1a3cfea6806e"),
+    (12, "986426312b7b69756424d6f9a2349f31fe2c5ecc8db737be424cbd3f27365ce9"),
+])
+def test_matching_pairs_pinned(exp, digest):
+    # the search order (ascending columns, ascending rows) fixes which of
+    # the maximum matchings is returned; these digests pin it
+    pairs = max_matching(matching_task(0).read(2 ** exp)).pairs
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
