@@ -6,20 +6,28 @@ when every row is covered. Variants differ only in how rate ties resolve:
 
 * basic        - first (lowest-index) column at the minimum rate
 * stochastic   - uniform choice among all columns tied at the minimum
-* isomorph     - column-permuted copy solved with the basic rule, selection
-                 mapped back to reference column order
+* isomorph     - basic rule on a column-permuted isomorph, selection
+                 reported in reference column order
 
 Rate comparison uses exact floating-point equality by default, with an
 optional relative tolerance for weights that only tie approximately.
+
+All variants run on one per-instance engine built from flat arrays: the
+rows flattened into one literal array, and the column-to-rows CSR
+(compressed sparse rows: a pointer array plus a flat row-index array)
+derived from it. An isomorph replica does not copy that engine; it runs a
+view that shares every array and carries only the permuted column order.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from itertools import chain, compress
 
 import numpy as np
 
-from .generators import gen_isomorph, seeded_rng
+from .generators import isomorph_permutation, seeded_rng
 from .instances import BigraphInstance, UnateRequiredError
 
 
@@ -70,9 +78,8 @@ def cover_value(coord, weights) -> float:
     bit-identical values.
     """
     total = 0.0
-    for j, picked in enumerate(coord):
-        if picked:
-            total += weights[j]
+    for w in compress(weights, coord):
+        total += w
     return float(total)
 
 
@@ -97,54 +104,61 @@ class _Engine:
     Two interchangeable inner loops cover both instance regimes: a bitmask
     scan for small instances and a vectorized scan for large ones. They see
     the same IEEE rates and the same tie ordering, so for a given random
-    stream both produce identical selections.
+    stream both produce identical selections. The build flattens the rows
+    once into one literal array and derives each loop's data from it: the
+    per-column row bitmasks, or the column-to-rows CSR (`col_ptr` and
+    `col_rows`, rows ascending within a column), the column degrees and one
+    column array per row.
+
+    An engine scans columns in `order`, the reference order unless it is a
+    `permuted` view; ties resolve to the first tied column in that order and
+    `coord` is always reported in reference order.
     """
 
     def __init__(self, instance: BigraphInstance):
-        if not instance.is_unate:
+        self.n = n = instance.n_cols
+        self.m = m = instance.m_rows
+        lengths = np.fromiter(map(len, instance.rows), dtype=np.intp,
+                              count=m)
+        flat = np.fromiter(chain.from_iterable(instance.rows),
+                           dtype=np.intp, count=int(lengths.sum()))
+        if flat.min() < 1:
             raise UnateRequiredError(f"{instance.name}: unate required")
-        self.n = instance.n_cols
-        self.m = instance.m_rows
-        self.weights = np.array(instance.col_weights, dtype=np.float64)
-        rows_of_col: list[list[int]] = [[] for _ in range(self.n)]
-        cols_of_row: list[list[int]] = []
-        for r, clause in enumerate(instance.rows):
-            cols_of_row.append([lit - 1 for lit in clause])
-            for lit in clause:
-                rows_of_col[lit - 1].append(r)
-        self.small = self.n <= _SMALL_COLS and self.m <= _SMALL_ROWS
+        cols = flat - 1
+        row_of = np.repeat(np.arange(m, dtype=np.intp), lengths)
+        self.weights_list = instance.col_weights
+        self.order = None
+        self.small = n <= _SMALL_COLS and m <= _SMALL_ROWS
         if self.small:
-            self.weights_list = [float(w) for w in instance.col_weights]
-            self.col_masks = [sum(1 << r for r in rs) for rs in rows_of_col]
-            self.full = (1 << self.m) - 1
-        else:
-            self.rows_of_col = [np.array(rs, dtype=np.intp)
-                                for rs in rows_of_col]
-            self.cols_of_row = [np.array(cs, dtype=np.intp)
-                                for cs in cols_of_row]
-            self.degrees0 = np.array([len(rs) for rs in rows_of_col],
-                                     dtype=np.float64)
+            incidence = np.zeros((n, m), dtype=bool)
+            incidence[cols, row_of] = True
+            packed = np.packbits(incidence, axis=1, bitorder="little")
+            self.col_masks = [int.from_bytes(b, "little") for b in packed]
+            self.full = (1 << m) - 1
+            return
+        degrees = np.bincount(cols, minlength=n)
+        self.col_ptr = np.concatenate(([0], np.cumsum(degrees))).tolist()
+        # numpy's stable sort is a radix sort on 16-bit keys
+        key = cols.astype(np.uint16 if n <= 1 << 16 else np.int32)
+        self.col_rows = row_of[np.argsort(key, kind="stable")]
+        self.cols_of_row = np.split(cols, np.cumsum(lengths[:-1]))
+        self.degrees0 = degrees.astype(np.float64)
+        self.weights = np.array(instance.col_weights, dtype=np.float64)
 
     def permuted(self, perm: tuple[int, ...]) -> "_Engine":
-        """Engine for the column-permuted instance (weights travel along)."""
-        other = object.__new__(_Engine)
-        other.n = self.n
-        other.m = self.m
-        other.small = self.small
+        """View of this engine that scans columns in `perm` order.
+
+        The view shares every array with this engine and carries only the
+        column order, so its runs solve the column-permuted instance (output
+        column idx carries input column perm[idx]) and report `coord` in
+        reference order.
+        """
+        view = copy.copy(self)
         if self.small:
-            other.weights = self.weights[[p - 1 for p in perm]]
-            other.weights_list = [self.weights_list[p - 1] for p in perm]
-            other.col_masks = [self.col_masks[p - 1] for p in perm]
-            other.full = self.full
-            return other
-        idx = np.array(perm, dtype=np.intp) - 1
-        inverse = np.empty(self.n, dtype=np.intp)
-        inverse[idx] = np.arange(self.n, dtype=np.intp)
-        other.weights = self.weights[idx]
-        other.rows_of_col = [self.rows_of_col[j] for j in idx]
-        other.cols_of_row = [inverse[cs] for cs in self.cols_of_row]
-        other.degrees0 = self.degrees0[idx]
-        return other
+            view.order = [p - 1 for p in perm]
+        else:
+            view.order = np.fromiter(perm, dtype=np.intp, count=self.n) - 1
+        return view
 
     def run(self, rng: np.random.Generator | None,
             tie_tol: float = 0.0) -> tuple[list[int], int]:
@@ -160,17 +174,17 @@ class _Engine:
     def _run_small(self, rng, tie_tol: float) -> tuple[list[int], int]:
         masks = self.col_masks
         weights = self.weights_list
-        n = self.n
+        order = range(self.n) if self.order is None else self.order
         full = self.full
         cov = 0
-        coord = [0] * n
+        coord = [0] * self.n
         n_ops = 0
         while cov != full:
             uncov = full ^ cov
             if rng is None and tie_tol == 0.0:
                 best = None
                 pick = -1
-                for j in range(n):
+                for j in order:
                     deg = (masks[j] & uncov).bit_count()
                     if deg:
                         rate = weights[j] / deg
@@ -180,9 +194,9 @@ class _Engine:
                     raise ValueError("uncoverable rows remain")
                 j = pick
             else:
-                rates: list[float | None] = [None] * n
+                rates: list[float | None] = [None] * self.n
                 best = None
-                for jj in range(n):
+                for jj in order:
                     deg = (masks[jj] & uncov).bit_count()
                     if deg:
                         rate = weights[jj] / deg
@@ -192,7 +206,7 @@ class _Engine:
                 if best is None:
                     raise ValueError("uncoverable rows remain")
                 bound = best * (1.0 + tie_tol) if tie_tol else best
-                ties = [jj for jj in range(n)
+                ties = [jj for jj in order
                         if rates[jj] is not None and rates[jj] <= bound]
                 if rng is None:
                     j = ties[0]
@@ -204,6 +218,8 @@ class _Engine:
         return coord, n_ops
 
     def _run_vectorized(self, rng, tie_tol: float) -> tuple[list[int], int]:
+        col_ptr, col_rows = self.col_ptr, self.col_rows
+        order = self.order
         degrees = self.degrees0.copy()
         covered = np.zeros(self.m, dtype=bool)
         coord = [0] * self.n
@@ -212,14 +228,12 @@ class _Engine:
         with np.errstate(divide="ignore"):
             while uncovered:
                 rates = self.weights / degrees
+                if order is not None:
+                    rates = rates[order]
                 if rng is None and tie_tol == 0.0:
                     j = int(rates.argmin())
-                    if degrees[j] == 0.0:
-                        raise ValueError("uncoverable rows remain")
                 else:
                     low = rates.min()
-                    if not np.isfinite(low):
-                        raise ValueError("uncoverable rows remain")
                     if tie_tol:
                         ties = np.flatnonzero(rates <= low * (1.0 + tie_tol))
                     else:
@@ -228,15 +242,17 @@ class _Engine:
                         j = int(ties[0])
                     else:
                         j = int(ties[rng.integers(ties.size)])
-                hit = self.rows_of_col[j]
+                if order is not None:
+                    j = int(order[j])
+                if degrees[j] == 0.0:
+                    raise ValueError("uncoverable rows remain")
+                hit = col_rows[col_ptr[j]:col_ptr[j + 1]]
                 fresh = hit[~covered[hit]]
                 covered[fresh] = True
                 uncovered -= fresh.size
                 if fresh.size:
-                    np.subtract.at(
-                        degrees,
-                        np.concatenate([self.cols_of_row[r] for r in fresh]),
-                        1.0)
+                    np.subtract.at(degrees, np.concatenate(
+                        [self.cols_of_row[r] for r in fresh.tolist()]), 1.0)
                 coord[j] = 1
                 n_ops += 1
         return coord, n_ops
@@ -245,7 +261,7 @@ class _Engine:
 def _solution(engine: _Engine, coord: list[int], n_ops: int,
               replica_id: int) -> CoverSolution:
     return CoverSolution(coord=tuple(coord),
-                         value=cover_value(coord, engine.weights),
+                         value=cover_value(coord, engine.weights_list),
                          n_ops=n_ops, replica_id=replica_id)
 
 
@@ -284,19 +300,14 @@ def greedy_iso(instance: BigraphInstance, replica_id: int,
     """
     if replica_id < 0:
         raise ValueError("replica_id must be nonnegative")
-    _, perm = gen_isomorph(instance, replica_id)
     engine = _Engine(instance)
+    perm = isomorph_permutation(instance.n_cols, replica_id)
     return _greedy_iso_run(engine, perm, replica_id, tie_tol)
 
 
 def _greedy_iso_run(engine: _Engine, perm: tuple[int, ...], replica_id: int,
                     tie_tol: float = 0.0) -> CoverSolution:
-    permuted = engine.permuted(perm)
-    coord_perm, n_ops = permuted.run(None, tie_tol)
-    coord = [0] * engine.n
-    for idx, picked in enumerate(coord_perm):
-        if picked:
-            coord[perm[idx] - 1] = 1
+    coord, n_ops = engine.permuted(perm).run(None, tie_tol)
     return _solution(engine, coord, n_ops, replica_id)
 
 

@@ -82,7 +82,7 @@ def isomorph_permutation(n_cols: int, replica_id: int) -> tuple[int, ...]:
     if replica_id == 0:
         return tuple(range(1, n_cols + 1))
     rng = seeded_rng(replica_id)
-    return tuple(int(c) + 1 for c in rng.permutation(n_cols))
+    return tuple((rng.permutation(n_cols) + 1).tolist())
 
 
 def gen_isomorph(instance: BigraphInstance, replica_id: int

@@ -178,8 +178,9 @@ def parse_cnf(text: str, name: str = "instance") -> BigraphInstance:
                 raise ParseError(line_no, f"weight column {col} out of range")
             if col in weights:
                 raise ParseError(line_no, f"duplicate weight for column {col}")
-            if not w > 0:
-                raise ParseError(line_no, f"nonpositive weight {w}")
+            if not 0 < w < math.inf:
+                raise ParseError(line_no, f"nonpositive weight {w}" if w <= 0
+                                 else f"non-finite weight {w}")
             weights[col] = w
             continue
         # clause line
@@ -247,8 +248,9 @@ def ingest_orlib(text: str, name: str = "orlib",
 
     Layout (whitespace separated, free line wrapping): ``m n``, then n column
     costs, then per row a covering-column count followed by that many column
-    indices. With ``unit_weights`` all costs are overridden to 1.0, producing
-    the unit-weight variant of the instance.
+    indices. Every cost must be positive and finite. With ``unit_weights``
+    all costs are then overridden to 1.0, producing the unit-weight variant
+    of the instance.
     """
     tokens = text.split()
     pos = 0
@@ -276,9 +278,13 @@ def ingest_orlib(text: str, name: str = "orlib",
     for c in range(1, n_cols + 1):
         tok = take(f"cost of column {c}")
         try:
-            costs.append(float(tok))
+            cost = float(tok)
         except ValueError:
             raise ValueError(f"bad cost for column {c}: {tok!r}")
+        if not 0 < cost < math.inf:
+            raise ValueError(
+                f"column {c}: nonpositive or non-finite weight {cost}")
+        costs.append(cost)
     clauses = []
     for r in range(1, m_rows + 1):
         count = take_int(f"cover count of row {r}")

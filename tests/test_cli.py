@@ -86,6 +86,15 @@ def test_stats_non_finite_weight_exits_2(capsys, tmp_path, name, text):
     assert out == ""
 
 
+def test_stats_unit_flag_still_rejects_bad_costs(capsys, tmp_path):
+    bad = tmp_path / "neg.txt"
+    bad.write_text("2 2\n-3 inf\n1 1\n2 1 2\n")
+    rc, out, err = run(capsys, "stats", str(bad), "--unit")
+    assert rc == 2
+    assert "column 1" in err
+    assert out == ""
+
+
 def test_stats_missing_file_exits_2(capsys):
     rc, _, err = run(capsys, "stats", "/no/such/file.cnfU")
     assert rc == 2

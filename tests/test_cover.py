@@ -1,6 +1,9 @@
+import dataclasses
+import hashlib
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from bglab.cover import (brute_force_cover, chvatal_upper_bound, cover_value,
@@ -8,7 +11,8 @@ from bglab.cover import (brute_force_cover, chvatal_upper_bound, cover_value,
                          enumerate_achievable_values, greedy_basic,
                          greedy_iso, greedy_stoc, harmonic, harmonic_bound,
                          verify_cover)
-from bglab.generators import permute_columns
+from bglab.generators import (gen_random_instance, isomorph_permutation,
+                              permute_columns, seeded_rng)
 from bglab.instances import (UNIT, WEIGHTED, BigraphInstance,
                              UnateRequiredError, compute_stats, parse_cnf)
 from bglab.library import (chvatal_6_5, school_5_5_iso, school_5_5_ref,
@@ -239,6 +243,44 @@ def test_engine_paths_agree_exactly(rs, monkeypatch):
                 assert small.run(rng_a, tol) == big.run(rng_b, tol)
 
 
+def _rows_of_col(inst):
+    rows_of_col = [[] for _ in range(inst.n_cols)]
+    for r, clause in enumerate(inst.rows):
+        for lit in clause:
+            rows_of_col[lit - 1].append(r)
+    return rows_of_col
+
+
+def _assert_csr_matches(engine, inst):
+    rows_of_col = _rows_of_col(inst)
+    for j, rows in enumerate(rows_of_col):
+        start, stop = engine.col_ptr[j], engine.col_ptr[j + 1]
+        assert engine.col_rows[start:stop].tolist() == rows
+    assert engine.degrees0.tolist() == [len(rows) for rows in rows_of_col]
+    assert [cs.tolist() for cs in engine.cols_of_row] == \
+        [[lit - 1 for lit in clause] for clause in inst.rows]
+    assert np.array_equal(engine.weights, inst.col_weights)
+
+
+def test_engine_build_matches_loop_reference(rs, monkeypatch):
+    # the array-built engine data equal a plain per-literal loop build
+    import bglab.cover as cover_mod
+
+    insts = [random_instance(rs, n_max=20, m_max=70, deg_max=6,
+                             weighted=rs.random() < 0.5) for _ in range(20)]
+    for inst in insts:
+        small = cover_mod._Engine(inst)
+        assert small.col_masks == [sum(1 << r for r in rows)
+                                   for rows in _rows_of_col(inst)]
+        assert small.full == (1 << inst.m_rows) - 1
+    # more than 2^16 columns takes the 32-bit sort keys
+    wide = gen_random_instance(30, 70000, 1, 4, seed=2)
+    _assert_csr_matches(cover_mod._Engine(wide), wide)
+    monkeypatch.setattr(cover_mod, "_SMALL_COLS", 0)
+    for inst in insts:
+        _assert_csr_matches(cover_mod._Engine(inst), inst)
+
+
 def test_wide_instance_uses_vectorized_path(rs):
     # > 128 columns routes through the vectorized loop via the public API
     from bglab.experiments import run_cover_distribution
@@ -269,3 +311,69 @@ def test_tie_tolerance_widens_tie_sets():
               for rid in range(1, 60)}
     assert coords == {(1, 0), (0, 1)}
     assert greedy_stoc(inst, 3, tie_tol=0.0).coord == (1, 0)
+
+
+@pytest.mark.parametrize("force_large", [False, True])
+def test_iso_equals_permute_then_basic(rs, monkeypatch, force_large):
+    # an iso replica is greedy_basic on the permuted instance, mapped back
+    import bglab.cover as cover_mod
+
+    if force_large:
+        monkeypatch.setattr(cover_mod, "_SMALL_COLS", 0)
+    insts = [random_instance(rs, n_max=12, m_max=12,
+                             weighted=rs.random() < 0.5) for _ in range(30)]
+    insts += [gen_random_instance(30, 60, 2, 8, seed=s) for s in (1, 2)]
+    for inst in insts:
+        for rid in (0, 1, 2, 7):
+            perm = isomorph_permutation(inst.n_cols, rid)
+            permuted = permute_columns(inst, perm)
+            for tol in (0.0, 1e-9):
+                iso = greedy_iso(inst, rid, tol)
+                basic = greedy_basic(permuted, tol)
+                back = [0] * inst.n_cols
+                for idx, picked in enumerate(basic.coord):
+                    if picked:
+                        back[perm[idx] - 1] = 1
+                assert iso.coord == tuple(back)
+                assert iso.n_ops == basic.n_ops
+                assert iso.value == cover_value(back, inst.col_weights)
+
+
+@pytest.fixture(scope="module")
+def large_instances():
+    unit = gen_random_instance(300, 3000, 100, 200, seed=3)
+    weights = tuple(float(w) for w
+                    in seeded_rng(11).integers(1, 101, size=3000))
+    return {"unit": unit,
+            "weighted": dataclasses.replace(unit, col_weights=weights,
+                                            weight_kind=WEIGHTED),
+            "sparse": gen_random_instance(1000, 1000, 2, 6, seed=5)}
+
+
+# sha256 of repr([(coord, value.hex(), n_ops)]) over replicas 0..7 on the
+# vectorized path; any change to picks, tie order or summation moves them
+LARGE_PATH_DIGESTS = {
+    ("unit", "stoc"):
+        "a108aa4f7461e849620c3a548887cee0814ca3f2860d28881deb143d6cf975b2",
+    ("unit", "iso"):
+        "02b7baf3adf7a8a1659c441df0fd8dd6d62a24f04b8035a812e3020a75f3eda3",
+    ("weighted", "stoc"):
+        "c9daa2dd66c68603139f3611f9dfd3a277d57335375177f52098d6963fe2221c",
+    ("weighted", "iso"):
+        "93440b21d291ef6cc2ec4751cedcf9e78e0bd0e52e734da1171e4f63126c245f",
+    ("sparse", "stoc"):
+        "8243f472981cc220630f418bb882d733d3d595470bce081ac2bef32d992582d6",
+    ("sparse", "iso"):
+        "1bbdf3579214f5693278c54f4dfab02f2c848a163bea9f77e588278969d7df27",
+}
+
+
+@pytest.mark.parametrize("name,solver", sorted(LARGE_PATH_DIGESTS))
+def test_large_path_outputs_pinned(large_instances, name, solver):
+    inst = large_instances[name]
+    fn = {"stoc": greedy_stoc, "iso": greedy_iso}[solver]
+    sols = [fn(inst, rid) for rid in range(8)]
+    digest = hashlib.sha256(repr(
+        [(s.coord, s.value.hex(), s.n_ops) for s in sols]).encode()
+    ).hexdigest()
+    assert digest == LARGE_PATH_DIGESTS[name, solver]

@@ -228,6 +228,21 @@ def test_parse_rejects_non_finite_weight(weight):
         parse_cnf(f"p cnf 2 1\nw 1 {weight}\n1 2 0\n")
 
 
+@pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
+def test_parse_non_finite_weight_reports_line(weight):
+    with pytest.raises(ParseError, match="^line 2: ") as info:
+        parse_cnf(f"p cnf 2 1\nw 1 {weight}\n1 2 0\n")
+    assert info.value.line_no == 2
+
+
+@pytest.mark.parametrize("costs", ["-3 inf", "3 inf", "nan 5", "0 5"])
+def test_orlib_unit_override_still_validates_costs(costs):
+    text = f"2 2\n{costs}\n1 1\n2 1 2\n"
+    for unit in (False, True):
+        with pytest.raises(ValueError, match="column 1|column 2"):
+            ingest_orlib(text, unit_weights=unit)
+
+
 def test_orlib_roundtrips_through_cnf():
     inst = ingest_orlib(ORLIB_2X2, name="mini")
     assert parse_cnf(write_cnf(inst), name="mini") == inst
