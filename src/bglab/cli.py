@@ -187,7 +187,8 @@ def cmd_converge(args) -> int:
     summaries = experiments.converge_check(inst, counts, args.solver,
                                            seed_mode=args.seed_mode,
                                            bkv=args.bkv,
-                                           meta_seed=args.meta_seed)
+                                           meta_seed=args.meta_seed,
+                                           tie_tol=args.tie_tol)
     if args.format == "json":
         payload = []
         for s in summaries:
@@ -386,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="consecutive")
     p.add_argument("--bkv", type=float, default=None)
     p.add_argument("--meta-seed", type=int, default=0)
+    p.add_argument("--tie-tol", type=float, default=0.0)
     _add_common(p)
     p.set_defaults(func=cmd_converge)
 

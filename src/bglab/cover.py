@@ -17,12 +17,16 @@ rows flattened into one literal array, and the column-to-rows CSR
 (compressed sparse rows: a pointer array plus a flat row-index array)
 derived from it. An isomorph replica does not copy that engine; it runs a
 view that shares every array and carries only the permuted column order.
+On small instances the engine memoizes each covered-row state's tie set,
+and a random replica draws only at ties of two or more columns, so its
+generator is made only when it is needed.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, compress
 
 import numpy as np
@@ -96,13 +100,81 @@ def verify_cover(instance: BigraphInstance, coord) -> bool:
 # the vectorized path instead.
 _SMALL_COLS = 128
 _SMALL_ROWS = 1024
+# Most covered-row states whose tie sets one engine keeps; states past the
+# cap are computed and not stored.
+_TIE_MEMO_STATES = 1 << 14
+
+
+def _flat_literals(instance: BigraphInstance
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row lengths, 0-based column, row) of every literal, in row order."""
+    m = instance.m_rows
+    lengths = np.fromiter(map(len, instance.rows), dtype=np.intp, count=m)
+    flat = np.fromiter(chain.from_iterable(instance.rows),
+                       dtype=np.intp, count=int(lengths.sum()))
+    if flat.min() < 1:
+        raise UnateRequiredError(f"{instance.name}: unate required")
+    return lengths, flat - 1, np.repeat(np.arange(m, dtype=np.intp), lengths)
+
+
+def _packed_masks(cols: np.ndarray, row_of: np.ndarray, n: int,
+                  m: int) -> list[int]:
+    """Per-column row bitmask: bit r of mask j is set iff row r holds j."""
+    incidence = np.zeros((n, m), dtype=bool)
+    incidence[cols, row_of] = True
+    packed = np.packbits(incidence, axis=1, bitorder="little")
+    return [int.from_bytes(b, "little") for b in packed]
+
+
+def _column_masks(instance: BigraphInstance) -> list[int]:
+    _, cols, row_of = _flat_literals(instance)
+    return _packed_masks(cols, row_of, instance.n_cols, instance.m_rows)
+
+
+def _tie_set(masks: list[int], weights, uncov: int,
+             tie_tol: float) -> tuple[int, ...]:
+    """Columns at the minimum weight/degree rate over the `uncov` rows.
+
+    The one greedy tie rule: a column ties when its rate is at most the
+    minimum, times (1 + tie_tol) when a tolerance is given. Columns come in
+    reference order; the set is empty when no column covers an `uncov` row.
+    """
+    if not tie_tol:
+        # one pass, keeping the columns at the lowest rate seen so far
+        best = None
+        ties = []
+        for j, mask in enumerate(masks):
+            deg = (mask & uncov).bit_count()
+            if deg:
+                rate = weights[j] / deg
+                if best is None or rate < best:
+                    best, ties = rate, [j]
+                elif rate == best:
+                    ties.append(j)
+        return tuple(ties)
+    cols = []
+    rates = []
+    for j, mask in enumerate(masks):
+        deg = (mask & uncov).bit_count()
+        if deg:
+            cols.append(j)
+            rates.append(weights[j] / deg)
+    if not rates:
+        return ()
+    bound = min(rates) * (1.0 + tie_tol)
+    return tuple([j for j, rate in zip(cols, rates) if rate <= bound])
+
+
+def _generator(rng) -> np.random.Generator:
+    """`rng` itself, or the generator it returns if it is a function."""
+    return rng() if callable(rng) else rng
 
 
 class _Engine:
     """Per-instance solver state shared by every replica run.
 
     Two interchangeable inner loops cover both instance regimes: a bitmask
-    scan for small instances and a vectorized scan for large ones. They see
+    loop for small instances and a vectorized scan for large ones. They see
     the same IEEE rates and the same tie ordering, so for a given random
     stream both produce identical selections. The build flattens the rows
     once into one literal array and derives each loop's data from it: the
@@ -110,31 +182,27 @@ class _Engine:
     `col_rows`, rows ascending within a column), the column degrees and one
     column array per row.
 
-    An engine scans columns in `order`, the reference order unless it is a
-    `permuted` view; ties resolve to the first tied column in that order and
-    `coord` is always reported in reference order.
+    The bitmask loop looks each covered-row state's tie set up in
+    `tie_memo`, keyed by (state, tie_tol) and shared with every view, so a
+    state's rates are computed once per engine, not once per replica.
+
+    An engine scans columns in reference order unless it is a `permuted`
+    view; ties resolve to the first tied column in that order and `coord`
+    is always reported in reference order.
     """
 
     def __init__(self, instance: BigraphInstance):
         self.n = n = instance.n_cols
         self.m = m = instance.m_rows
-        lengths = np.fromiter(map(len, instance.rows), dtype=np.intp,
-                              count=m)
-        flat = np.fromiter(chain.from_iterable(instance.rows),
-                           dtype=np.intp, count=int(lengths.sum()))
-        if flat.min() < 1:
-            raise UnateRequiredError(f"{instance.name}: unate required")
-        cols = flat - 1
-        row_of = np.repeat(np.arange(m, dtype=np.intp), lengths)
+        lengths, cols, row_of = _flat_literals(instance)
         self.weights_list = instance.col_weights
         self.order = None
+        self.rank = None
         self.small = n <= _SMALL_COLS and m <= _SMALL_ROWS
         if self.small:
-            incidence = np.zeros((n, m), dtype=bool)
-            incidence[cols, row_of] = True
-            packed = np.packbits(incidence, axis=1, bitorder="little")
-            self.col_masks = [int.from_bytes(b, "little") for b in packed]
+            self.col_masks = _packed_masks(cols, row_of, n, m)
             self.full = (1 << m) - 1
+            self.tie_memo: dict[tuple[int, float], tuple[int, ...]] = {}
             return
         degrees = np.bincount(cols, minlength=n)
         self.col_ptr = np.concatenate(([0], np.cumsum(degrees))).tolist()
@@ -148,24 +216,31 @@ class _Engine:
     def permuted(self, perm: tuple[int, ...]) -> "_Engine":
         """View of this engine that scans columns in `perm` order.
 
-        The view shares every array with this engine and carries only the
-        column order, so its runs solve the column-permuted instance (output
-        column idx carries input column perm[idx]) and report `coord` in
-        reference order.
+        The view shares every array (and the tie memo) with this engine and
+        carries only the column order, so its runs solve the
+        column-permuted instance (output column idx carries input column
+        perm[idx]) and report `coord` in reference order. The bitmask loop
+        needs each column's position in that order (`rank`), the vectorized
+        one the order itself.
         """
         view = copy.copy(self)
         if self.small:
-            view.order = [p - 1 for p in perm]
+            view.rank = rank = [0] * self.n
+            for idx, col in enumerate(perm):
+                rank[col - 1] = idx
         else:
             view.order = np.fromiter(perm, dtype=np.intp, count=self.n) - 1
         return view
 
-    def run(self, rng: np.random.Generator | None,
-            tie_tol: float = 0.0) -> tuple[list[int], int]:
+    def run(self, rng, tie_tol: float = 0.0) -> tuple[list[int], int]:
         """One greedy pass; returns (coord, n_ops).
 
         `rng` None selects the first minimum; otherwise selection is uniform
-        over the tied minimum set.
+        over the tied minimum set, drawn from `rng`: a generator, or a
+        function that returns one. A draw is made only at a tie of two or
+        more columns (`integers(1)` would consume no stream), and a function
+        is called at the first such draw, so a run that never ties makes no
+        generator.
         """
         if self.small:
             return self._run_small(rng, tie_tol)
@@ -173,44 +248,28 @@ class _Engine:
 
     def _run_small(self, rng, tie_tol: float) -> tuple[list[int], int]:
         masks = self.col_masks
-        weights = self.weights_list
-        order = range(self.n) if self.order is None else self.order
+        memo = self.tie_memo
+        rank = self.rank
         full = self.full
         cov = 0
         coord = [0] * self.n
         n_ops = 0
         while cov != full:
-            uncov = full ^ cov
-            if rng is None and tie_tol == 0.0:
-                best = None
-                pick = -1
-                for j in order:
-                    deg = (masks[j] & uncov).bit_count()
-                    if deg:
-                        rate = weights[j] / deg
-                        if best is None or rate < best:
-                            best, pick = rate, j
-                if pick < 0:
+            ties = memo.get((cov, tie_tol))
+            if ties is None:
+                ties = _tie_set(masks, self.weights_list, full ^ cov, tie_tol)
+                if not ties:
                     raise ValueError("uncoverable rows remain")
-                j = pick
-            else:
-                rates: list[float | None] = [None] * self.n
-                best = None
-                for jj in order:
-                    deg = (masks[jj] & uncov).bit_count()
-                    if deg:
-                        rate = weights[jj] / deg
-                        rates[jj] = rate
-                        if best is None or rate < best:
-                            best = rate
-                if best is None:
-                    raise ValueError("uncoverable rows remain")
-                bound = best * (1.0 + tie_tol) if tie_tol else best
-                ties = [jj for jj in order
-                        if rates[jj] is not None and rates[jj] <= bound]
-                if rng is None:
+                if len(memo) < _TIE_MEMO_STATES:
+                    memo[cov, tie_tol] = ties
+            j = ties[0]
+            if len(ties) > 1:
+                # ties come in reference order; a view takes them in its own
+                if rank is not None:
+                    ties = sorted(ties, key=rank.__getitem__)
                     j = ties[0]
-                else:
+                if rng is not None:
+                    rng = _generator(rng)
                     j = ties[int(rng.integers(len(ties)))]
             cov |= masks[j]
             coord[j] = 1
@@ -238,9 +297,10 @@ class _Engine:
                         ties = np.flatnonzero(rates <= low * (1.0 + tie_tol))
                     else:
                         ties = np.flatnonzero(rates == low)
-                    if rng is None:
+                    if rng is None or ties.size == 1:
                         j = int(ties[0])
                     else:
+                        rng = _generator(rng)
                         j = int(ties[rng.integers(ties.size)])
                 if order is not None:
                     j = int(order[j])
@@ -286,8 +346,13 @@ def greedy_stoc(instance: BigraphInstance, replica_id: int,
 
 
 def _greedy_stoc_run(engine: _Engine, replica_id: int,
-                     tie_tol: float = 0.0) -> CoverSolution:
-    rng = None if replica_id == 0 else seeded_rng(replica_id)
+                     tie_tol: float = 0.0, stream=None) -> CoverSolution:
+    """`stream` returns the replica's generator, `seeded_rng(replica_id)`
+    unless given; it is called only at the run's first real tie."""
+    if replica_id == 0:
+        rng = None
+    else:
+        rng = stream or (lambda: seeded_rng(replica_id))
     coord, n_ops = engine.run(rng, tie_tol)
     return _solution(engine, coord, n_ops, replica_id)
 
@@ -323,10 +388,7 @@ def brute_force_cover(instance: BigraphInstance
     if n > 24:
         raise ValueError(f"{instance.name}: {n} columns exceed the "
                          f"24-column oracle limit")
-    col_masks = [0] * n
-    for r, clause in enumerate(instance.rows):
-        for lit in clause:
-            col_masks[lit - 1] |= 1 << r
+    col_masks = _column_masks(instance)
     full = (1 << instance.m_rows) - 1
     weights = instance.col_weights
     best_value = None
@@ -363,10 +425,7 @@ def enumerate_achievable_solutions(instance: BigraphInstance,
     if n > 8:
         raise ValueError(f"{instance.name}: {n} columns exceed the "
                          f"8-column enumeration limit")
-    col_masks = [0] * n
-    for r, clause in enumerate(instance.rows):
-        for lit in clause:
-            col_masks[lit - 1] |= 1 << r
+    col_masks = _column_masks(instance)
     full = (1 << instance.m_rows) - 1
     weights = instance.col_weights
     memo: dict[int, set[frozenset[int]]] = {}
@@ -377,23 +436,8 @@ def enumerate_achievable_solutions(instance: BigraphInstance,
         cached = memo.get(cov)
         if cached is not None:
             return cached
-        low = None
-        rates = []
-        for j in range(n):
-            deg = (col_masks[j] & ~cov).bit_count()
-            if deg == 0:
-                rates.append(None)
-                continue
-            rate = weights[j] / deg
-            rates.append(rate)
-            if low is None or rate < low:
-                low = rate
-        bound = low * (1.0 + tie_tol) if tie_tol else low
         out: set[frozenset[int]] = set()
-        for j in range(n):
-            rate = rates[j]
-            if rate is None or rate > bound:
-                continue
+        for j in _tie_set(col_masks, weights, full ^ cov, tie_tol):
             for rest in completions(cov | col_masks[j]):
                 out.add(rest | {j})
         memo[cov] = out
@@ -411,3 +455,35 @@ def enumerate_achievable_values(instance: BigraphInstance,
     """Set of greedy values reachable under any tie-break choice sequence."""
     return {value for _, value
             in enumerate_achievable_solutions(instance, tie_tol)}
+
+
+def exact_stoc_distribution(instance: BigraphInstance, tie_tol: float = 0.0
+                            ) -> dict[tuple[int, ...], Fraction]:
+    """Exact probability of every coord `greedy_stoc` can return.
+
+    Under uniform tie-breaking each pick passes 1/|ties| of a state's
+    probability to each tied column, so propagating the mass pick by pick
+    over the (picked columns, covered rows) states gives the outcome
+    distribution as exact fractions. The cost grows with the number of
+    reachable states, which small instances keep small.
+    """
+    col_masks = _column_masks(instance)
+    full = (1 << instance.m_rows) - 1
+    n = instance.n_cols
+    outcomes: dict[tuple[int, ...], Fraction] = {}
+    layer = {(0, 0): Fraction(1)}  # (picked-column bits, covered rows)
+    while layer:
+        following: dict[tuple[int, int], Fraction] = {}
+        for (picked, cov), mass in layer.items():
+            if cov == full:
+                coord = tuple((picked >> j) & 1 for j in range(n))
+                outcomes[coord] = outcomes.get(coord, 0) + mass
+                continue
+            ties = _tie_set(col_masks, instance.col_weights, full ^ cov,
+                            tie_tol)
+            share = mass / len(ties)
+            for j in ties:
+                state = (picked | 1 << j, cov | col_masks[j])
+                following[state] = following.get(state, 0) + share
+        layer = following
+    return outcomes

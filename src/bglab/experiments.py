@@ -12,10 +12,11 @@ import json
 import os
 import statistics
 from dataclasses import dataclass
+from functools import partial
 
 from . import cover
 from .formatting import fmt_fixed, fmt_number
-from .generators import isomorph_permutation, seeded_rng
+from .generators import ReplicaStreams, isomorph_permutation, seeded_rng
 from .instances import UNIT, BigraphInstance
 
 SOLVERS = ("stoc", "iso")
@@ -165,20 +166,29 @@ _DEFAULT_BKVS: dict[str, tuple[float, str]] = {
     "school_5_5_iso.cnfU": (2, "school example, scaled down"),
 }
 
-_default_registry: BkvRegistry | None = None
+# default_registry()'s registries by value of BGLAB_BKV_REGISTRY ("" unset);
+# None until the first call.
+_default_registry: dict[str, BkvRegistry] | None = None
 
 
 def default_registry() -> BkvRegistry:
     """Registry preloaded with the bundled suite; the path in the
-    BGLAB_BKV_REGISTRY environment variable, if set, is overlaid on top."""
+    BGLAB_BKV_REGISTRY environment variable, if set, is overlaid on top.
+
+    One registry is built and kept per value of the variable, so a call
+    after the variable changes sees the file it names now.
+    """
     global _default_registry
     if _default_registry is None:
+        _default_registry = {}
+    override = os.environ.get(BKV_REGISTRY_ENV, "")
+    registry = _default_registry.get(override)
+    if registry is None:
         registry = BkvRegistry(_DEFAULT_BKVS)
-        override = os.environ.get(BKV_REGISTRY_ENV)
         if override:
             registry.load_file(override)
-        _default_registry = registry
-    return _default_registry
+        _default_registry[override] = registry
+    return registry
 
 
 def ratio_stats(values, bkv: float) -> Stats:
@@ -202,6 +212,11 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
     Consecutive mode runs replica ids 1..num_seeds; random mode draws
     num_seeds six-digit seeds from a generator keyed by meta_seed. Ratio
     statistics appear when a best-known value is supplied or registered.
+
+    Every replica draws from the stream `seeded_rng(replica_id)` would give
+    it, reached through one `ReplicaStreams` for the block: an iso replica
+    draws its permutation from it, a stoc replica only at its first tie of
+    two or more columns.
     """
     if num_seeds < 1:
         raise ValueError("num_seeds must be >= 1")
@@ -216,14 +231,17 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
         seeds = [int(s) for s in meta.integers(0, 10**6, size=num_seeds)]
 
     engine = cover._Engine(instance)
+    streams = ReplicaStreams(seeds)
     values: list[float] = []
     histogram: dict[float, int] = {}
-    for rid in seeds:
+    for i, rid in enumerate(seeds):
         try:
             if solver == "stoc":
-                sol = cover._greedy_stoc_run(engine, rid, tie_tol)
+                sol = cover._greedy_stoc_run(engine, rid, tie_tol,
+                                             partial(streams.rng, i))
             else:
-                perm = isomorph_permutation(instance.n_cols, rid)
+                perm = isomorph_permutation(instance.n_cols, rid,
+                                            streams.rng(i))
                 sol = cover._greedy_iso_run(engine, perm, rid, tie_tol)
         except Exception as exc:
             raise RuntimeError(
@@ -246,7 +264,8 @@ def converge_check(instance: BigraphInstance, seed_counts, solver: str,
                    seed_mode: str = "consecutive",
                    bkv: float | None = None,
                    registry: BkvRegistry | None = None,
-                   meta_seed: int = 0) -> list[DistributionSummary]:
+                   meta_seed: int = 0,
+                   tie_tol: float = 0.0) -> list[DistributionSummary]:
     """One distribution summary per seed count (counts must ascend)."""
     counts = list(seed_counts)
     if not counts:
@@ -255,7 +274,7 @@ def converge_check(instance: BigraphInstance, seed_counts, solver: str,
         raise ValueError("seed_counts must be ascending")
     return [run_cover_distribution(instance, count, solver, seed_mode,
                                    bkv=bkv, registry=registry,
-                                   meta_seed=meta_seed)
+                                   meta_seed=meta_seed, tie_tol=tie_tol)
             for count in counts]
 
 

@@ -27,6 +27,87 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe, a pool of four
+# 32-bit words); every product below wraps modulo 2^32, as it does there.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(init: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays; each call advances the
+    hash constant, which starts at `init`, by one factor of `mult`."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def replica_keys(seeds) -> np.ndarray:
+    """Philox keys of `seeded_rng(s)` for every seed s, shape (len, 2).
+
+    Row i equals `np.random.SeedSequence(seeds[i]).generate_state(2,
+    np.uint64)`, the key `Philox(seeds[i])` uses, for 0 <= s < 2^64. Such a
+    seed is at most two 32-bit words, which SeedSequence pads to its pool of
+    four with zeros, so one pass of uint32 array arithmetic hashes the whole
+    block; the hash constants do not depend on the data.
+    """
+    try:
+        s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    except OverflowError:
+        raise ValueError("seeds must lie in 0 .. 2**64 - 1") from None
+    words = [(s & _MASK32).astype(np.uint32), (s >> 32).astype(np.uint32)]
+    words += [np.zeros_like(words[0])] * (_POOL - len(words))
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mixed = (pool[dst] * np.uint32(_MIX_L)
+                         - hashmix(pool[src]) * np.uint32(_MIX_R))
+                pool[dst] = mixed ^ (mixed >> 16)
+    output = _hashmix(_INIT_B, _MULT_B)
+    state = [output(value) for value in pool]
+    # two 32-bit words per 64-bit key word, low word first
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+class ReplicaStreams:
+    """The `seeded_rng` streams of a block of replica ids, from one Philox.
+
+    `rng(i)` resets a single generator to the state `seeded_rng(seeds[i])`
+    starts in (replica i's key, counter zero, empty buffer) and returns it,
+    so a block pays for one generator and one vectorized key derivation
+    instead of one generator per replica. The generator is made at the
+    first `rng` call, and each call invalidates the stream the last one
+    returned.
+    """
+
+    def __init__(self, seeds):
+        self.keys = replica_keys(seeds)
+        self._generator: np.random.Generator | None = None
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": np.zeros(4, np.uint64),
+                                 "key": None},
+                       "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+
+    def rng(self, i: int) -> np.random.Generator:
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.Philox(0))
+        self._state["state"]["key"] = self.keys[i]
+        self._generator.bit_generator.state = self._state
+        return self._generator
+
+
 def gen_random_instance(m_rows: int, n_cols: int, deg_min: int, deg_max: int,
                         seed: int) -> BigraphInstance:
     """Random unit-weight unate instance.
@@ -75,13 +156,20 @@ def permute_columns(instance: BigraphInstance,
                            weight_kind=instance.weight_kind)
 
 
-def isomorph_permutation(n_cols: int, replica_id: int) -> tuple[int, ...]:
-    """Column permutation of replica `replica_id`; 0 is the natural order."""
+def isomorph_permutation(n_cols: int, replica_id: int,
+                         rng: np.random.Generator | None = None
+                         ) -> tuple[int, ...]:
+    """Column permutation of replica `replica_id`; 0 is the natural order.
+
+    `rng`, if given, must be in the state `seeded_rng(replica_id)` starts
+    in (as `ReplicaStreams.rng` returns it); it saves making one.
+    """
     if replica_id < 0:
         raise ValueError("replica_id must be nonnegative")
     if replica_id == 0:
         return tuple(range(1, n_cols + 1))
-    rng = seeded_rng(replica_id)
+    if rng is None:
+        rng = seeded_rng(replica_id)
     return tuple((rng.permutation(n_cols) + 1).tolist())
 
 

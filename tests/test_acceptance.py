@@ -11,13 +11,15 @@ import math
 import os
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from bglab.bench import asymptotic_sweep, sweep_csv, topk_task, watch_histogram
-from bglab.cover import (brute_force_cover, chvatal_upper_bound,
-                         enumerate_achievable_values, greedy_basic, harmonic)
+from bglab.cover import (brute_force_cover, chvatal_upper_bound, cover_value,
+                         enumerate_achievable_values, exact_stoc_distribution,
+                         greedy_basic, harmonic)
 from bglab.experiments import (ratio_string, run_cover_distribution,
                                stats_string)
 from bglab.formatting import fmt_fixed
@@ -31,6 +33,25 @@ from conftest import random_instance
 
 ORLIB_DIR = Path(os.environ.get(
     "BGLAB_ORLIB_DIR", Path(__file__).resolve().parent.parent / "data" / "orlib"))
+
+
+def exact_value_probabilities(inst):
+    """Exact stoc probability of each cover value."""
+    by_value = {}
+    for coord, p in exact_stoc_distribution(inst).items():
+        value = cover_value(coord, inst.col_weights)
+        by_value[value] = by_value.get(value, 0) + p
+    return by_value
+
+
+def assert_within_binomial(histogram, exact, num_seeds, sigmas=4):
+    """Every observed count lies within `sigmas` binomial standard
+    deviations of its exact expectation."""
+    assert set(histogram) == set(exact)
+    for value, p in exact.items():
+        sd = math.sqrt(num_seeds * p * (1 - p))
+        assert abs(histogram[value] - num_seeds * p) <= sigmas * sd, \
+            (value, histogram[value], float(p))
 
 
 def criterion(number, budget_seconds, description):
@@ -104,12 +125,18 @@ def test_criterion_2_upper_bound_table():
 @criterion(3, 10, "two-outcome convergence to 0.50 on school_5_5")
 def test_criterion_3_two_optima_convergence():
     inst = school_5_5_ref()
+    exact = exact_value_probabilities(inst)
+    assert exact == {2.0: Fraction(1, 2), 3.0: Fraction(1, 2)}
     for solver in ("stoc", "iso"):
         summary = run_cover_distribution(inst, 10_000, solver, "consecutive")
         assert summary.bkv == 2
         assert set(summary.value_histogram) == {2.0, 3.0}
         freq_ratio_one = summary.value_histogram[2.0] / 10_000
         assert 0.48 <= freq_ratio_one <= 0.52, (solver, freq_ratio_one)
+        if solver == "stoc":
+            assert_within_binomial(summary.value_histogram, exact, 10_000)
+        else:
+            assert set(summary.value_histogram) <= set(exact)
 
 
 @criterion(4, 30, "school_9_11 distribution support and shape")
@@ -124,6 +151,12 @@ def test_criterion_4_school_9_11_distribution():
     for val, target in ((4.0, 0.33), (5.0, 0.50), (6.0, 0.17)):
         freq = summary.value_histogram[val] / 10_000
         assert abs(freq - target) <= 0.05, (val, freq)  # soft band
+    exact = exact_value_probabilities(inst)
+    assert exact == {4.0: Fraction(1, 3), 5.0: Fraction(1, 2),
+                     6.0: Fraction(1, 6)}
+    assert_within_binomial(summary.value_histogram, exact, 10_000)
+    iso = run_cover_distribution(inst, 10_000, "iso", "consecutive")
+    assert set(iso.value_histogram) <= set(exact)
 
 
 @criterion(5, 120, "solver equivalence at the value-set level")

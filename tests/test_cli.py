@@ -170,6 +170,26 @@ def test_converge_table(capsys, chvatal_path):
     assert "num_seeds 40" in out
 
 
+def test_converge_tie_tol_matches_dist(capsys, tmp_path):
+    # column 2's rate ties column 1's only within a 1e-9 tolerance
+    path = tmp_path / "near.cnfW"
+    path.write_text("p cnf 2 2\nw 1 1\nw 2 1.0000000008\n1 2 0\n1 2 0\n")
+    histograms = {}
+    for tol in ("0", "1e-9"):
+        rc, out, _ = run(capsys, "converge", str(path), "--counts", "50,300",
+                         "--tie-tol", tol, "--format", "json")
+        assert rc == 0
+        last = json.loads(out)[-1]
+        assert last["numSeeds"] == 300
+        rc, out, _ = run(capsys, "dist", str(path), "--seeds", "300",
+                         "--tie-tol", tol, "--format", "json")
+        assert rc == 0
+        assert last["histogram"] == json.loads(out)["histogram"]
+        histograms[tol] = last["histogram"]
+    assert histograms["0"] == {"1": 300}
+    assert set(histograms["1e-9"]) == {"1", "1.000000001"}
+
+
 def test_ub_from_flags(capsys):
     rc, out, _ = run(capsys, "ub", "--bkv", "11.5", "--mcd", "6")
     assert rc == 0

@@ -2,15 +2,16 @@ import dataclasses
 import hashlib
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bglab.cover import (brute_force_cover, chvatal_upper_bound, cover_value,
                          enumerate_achievable_solutions,
-                         enumerate_achievable_values, greedy_basic,
-                         greedy_iso, greedy_stoc, harmonic, harmonic_bound,
-                         verify_cover)
+                         enumerate_achievable_values, exact_stoc_distribution,
+                         greedy_basic, greedy_iso, greedy_stoc, harmonic,
+                         harmonic_bound, verify_cover)
 from bglab.generators import (gen_random_instance, isomorph_permutation,
                               permute_columns, seeded_rng)
 from bglab.instances import (UNIT, WEIGHTED, BigraphInstance,
@@ -377,3 +378,169 @@ def test_large_path_outputs_pinned(large_instances, name, solver):
         [(s.coord, s.value.hex(), s.n_ops) for s in sols]).encode()
     ).hexdigest()
     assert digest == LARGE_PATH_DIGESTS[name, solver]
+
+
+def near_tie_instance():
+    """Weighted instance whose rates tie only within a 1e-9 tolerance."""
+    inst = gen_random_instance(40, 12, 2, 4, seed=3)
+    return dataclasses.replace(
+        inst, name="near_tie", weight_kind=WEIGHTED,
+        col_weights=tuple(1.0 + (j % 3) * 1e-12 for j in range(12)))
+
+
+SMALL_PATH_INSTANCES = {
+    "school_9_11": school_9_11,
+    "m100_100_10_30": lambda: gen_random_instance(100, 100, 10, 30, seed=7),
+    "near_tie": near_tie_instance,
+}
+
+# sha256 of repr([(coord, value.hex(), n_ops)]) over replicas 0..89 on the
+# bitmask path, computed before tie sets were memoized and generators made
+# lazily; any change to picks, tie order or streams moves them
+SMALL_PATH_DIGESTS = {
+    ("school_9_11", "stoc", 0.0):
+        "ab7f0fe8e527877b150261406d6e08e261553a87d3cb9d11f9899efe85412326",
+    ("school_9_11", "stoc", 1e-9):
+        "ab7f0fe8e527877b150261406d6e08e261553a87d3cb9d11f9899efe85412326",
+    ("school_9_11", "iso", 0.0):
+        "17c2af8ec429de1d91aaf80ee09f84cfd0062bf4cd864f01fc91c913a718f38f",
+    ("school_9_11", "iso", 1e-9):
+        "17c2af8ec429de1d91aaf80ee09f84cfd0062bf4cd864f01fc91c913a718f38f",
+    ("m100_100_10_30", "stoc", 0.0):
+        "44411a6103cf130979abf26a4ebbc7545218c12e8028cc88ece9b0c8b1c6e8cb",
+    ("m100_100_10_30", "stoc", 1e-9):
+        "44411a6103cf130979abf26a4ebbc7545218c12e8028cc88ece9b0c8b1c6e8cb",
+    ("m100_100_10_30", "iso", 0.0):
+        "4f7a1dd8ad8eb8a7ea84f27ecbd35c2ec918f93fd17afc205cda05b26fb47a24",
+    ("m100_100_10_30", "iso", 1e-9):
+        "4f7a1dd8ad8eb8a7ea84f27ecbd35c2ec918f93fd17afc205cda05b26fb47a24",
+    ("near_tie", "stoc", 0.0):
+        "d698ff11e713ef995726632328ca2041cbfafd1a48e18386f886b1d7d273ba5c",
+    ("near_tie", "stoc", 1e-9):
+        "e203d67cef5a9688530d325adb2413b1dd36a950d430bdaaa5ede001d5b8f3d5",
+    ("near_tie", "iso", 0.0):
+        "d698ff11e713ef995726632328ca2041cbfafd1a48e18386f886b1d7d273ba5c",
+    ("near_tie", "iso", 1e-9):
+        "8a893ca8f7959a197de6aa6b48d9bdbb08dcbaf5fc3bf558bd4898982288fab8",
+}
+
+
+@pytest.mark.parametrize("name,solver,tol", sorted(SMALL_PATH_DIGESTS))
+def test_small_path_outputs_pinned(name, solver, tol):
+    inst = SMALL_PATH_INSTANCES[name]()
+    fn = {"stoc": greedy_stoc, "iso": greedy_iso}[solver]
+    sols = [fn(inst, rid, tol) for rid in range(90)]
+    digest = hashlib.sha256(repr(
+        [(s.coord, s.value.hex(), s.n_ops) for s in sols]).encode()
+    ).hexdigest()
+    assert digest == SMALL_PATH_DIGESTS[name, solver, tol]
+
+
+@pytest.mark.parametrize("force_large", [False, True])
+def test_stoc_without_ties_makes_no_generator(monkeypatch, force_large):
+    import bglab.cover as cover_mod
+
+    if force_large:
+        monkeypatch.setattr(cover_mod, "_SMALL_COLS", 0)
+    made = []
+    monkeypatch.setattr(cover_mod, "seeded_rng",
+                        lambda seed: made.append(seed) or seeded_rng(seed))
+    for rid in range(1, 200):
+        greedy_stoc(chvatal_6_5(), rid)
+    assert made == []
+    # school_9_11 ties at its first pick: one generator per replica
+    for rid in range(1, 50):
+        greedy_stoc(school_9_11(), rid)
+    assert made == list(range(1, 50))
+
+
+def _value_probabilities(inst, tie_tol=0.0):
+    by_value = {}
+    for coord, p in exact_stoc_distribution(inst, tie_tol).items():
+        value = cover_value(coord, inst.col_weights)
+        by_value[value] = by_value.get(value, 0) + p
+    return by_value
+
+
+def test_exact_distribution_bundled():
+    assert _value_probabilities(school_5_5_ref()) == \
+        {2.0: Fraction(1, 2), 3.0: Fraction(1, 2)}
+    assert _value_probabilities(school_9_11()) == \
+        {4.0: Fraction(1, 3), 5.0: Fraction(1, 2), 6.0: Fraction(1, 6)}
+    assert exact_stoc_distribution(chvatal_6_5()) == \
+        {(1, 1, 1, 1, 1, 0): Fraction(1)}
+    assert exact_stoc_distribution(two_optima()) == \
+        {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1, 2)}
+    near = BigraphInstance(name="near_tie", n_cols=2, m_rows=2,
+                           rows=((1, 2), (1, 2)),
+                           col_weights=(1.0, 1.0 + 1e-12),
+                           weight_kind=WEIGHTED)
+    assert exact_stoc_distribution(near) == {(1, 0): Fraction(1)}
+    assert exact_stoc_distribution(near, tie_tol=1e-9) == \
+        {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+
+
+def test_exact_distribution_support_is_enumeration(rs):
+    # one tie rule: the exact distribution and the enumeration branch on
+    # the same tie sets, so their supports agree
+    for _ in range(60):
+        inst = random_instance(rs, n_max=8, m_max=8,
+                               weighted=rs.random() < 0.5)
+        for tol in (0.0, 1e-9):
+            exact = exact_stoc_distribution(inst, tol)
+            assert sum(exact.values()) == 1
+            assert all(p > 0 for p in exact.values())
+            assert {(coord, cover_value(coord, inst.col_weights))
+                    for coord in exact} == \
+                enumerate_achievable_solutions(inst, tol)
+
+
+def test_exact_distribution_matches_sampling():
+    inst = gen_random_instance(8, 7, 1, 3, seed=5012)
+    exact = exact_stoc_distribution(inst)
+    assert len(exact) > 2
+    n = 4000
+    counts = Counter(greedy_stoc(inst, rid).coord for rid in range(1, n + 1))
+    assert set(counts) <= set(exact)
+    for coord, p in exact.items():
+        sd = (n * p * (1 - p)) ** 0.5
+        assert abs(counts[coord] - n * p) <= 4 * sd, coord
+
+
+def test_exact_distribution_validation():
+    with pytest.raises(UnateRequiredError):
+        exact_stoc_distribution(parse_cnf("p cnf 2 1\n1 -2 0\n"))
+
+
+def _replica_coords(engine, tol):
+    import bglab.cover as cover_mod
+
+    out = []
+    for rid in range(40):
+        out.append(cover_mod._greedy_stoc_run(engine, rid, tol).coord)
+        perm = isomorph_permutation(engine.n, rid)
+        out.append(cover_mod._greedy_iso_run(engine, perm, rid, tol).coord)
+    return out
+
+
+@pytest.mark.parametrize("name", ["m100_100_10_30", "near_tie"])
+def test_tie_memo_is_shared_and_capped(monkeypatch, name):
+    import bglab.cover as cover_mod
+
+    inst = SMALL_PATH_INSTANCES[name]()
+    expected = {tol: _replica_coords(cover_mod._Engine(inst), tol)
+                for tol in (0.0, 1e-9)}
+    # one engine runs both tolerances, stoc replicas and iso views
+    engine = cover_mod._Engine(inst)
+    for tol in (0.0, 1e-9):
+        assert _replica_coords(engine, tol) == expected[tol]
+    assert 0 < len(engine.tie_memo) <= cover_mod._TIE_MEMO_STATES
+    view = engine.permuted(isomorph_permutation(inst.n_cols, 3))
+    assert view.tie_memo is engine.tie_memo
+    assert {tol for _, tol in engine.tie_memo} == {0.0, 1e-9}
+    for cap in (0, 1, 25):
+        monkeypatch.setattr(cover_mod, "_TIE_MEMO_STATES", cap)
+        capped = cover_mod._Engine(inst)
+        for tol in (0.0, 1e-9):
+            assert _replica_coords(capped, tol) == expected[tol]
+        assert len(capped.tie_memo) == min(cap, len(engine.tie_memo))

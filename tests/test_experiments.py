@@ -1,4 +1,6 @@
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,6 +11,8 @@ from bglab.experiments import (BkvRegistry, DistributionSummary, Stats,
                                ratio_bucket_report, ratio_stats, ratio_string,
                                run_cover_distribution, stats_string,
                                summary_rows)
+from bglab.generators import (ReplicaStreams, gen_random_instance,
+                              permute_columns, seeded_rng)
 from bglab.instances import parse_cnf
 from bglab.library import chvatal_6_5, school_5_5_ref, school_9_11, two_optima
 
@@ -266,3 +270,164 @@ def test_summary_rows_sorted():
     assert all(name == "school_9_11__0" and seeds == 500
                for name, seeds, _, _ in rows)
     assert sum(c for _, _, _, c in rows) == 500
+
+
+# (instance, replica count, seed mode, meta seed) of the pinned runs
+DIGEST_RUNS = {
+    "school_9_11": (school_9_11, 10_000, "random", 3),
+    "school_5_5_ref": (school_5_5_ref, 2000, "consecutive", 0),
+    "chvatal_6_5": (chvatal_6_5, 2000, "random", 5),
+    "m100_100_10_10": (lambda: gen_random_instance(100, 100, 10, 10, seed=7),
+                       300, "random", 11),
+    "m100_100_10_30": (lambda: gen_random_instance(100, 100, 10, 30, seed=7),
+                       300, "consecutive", 0),
+}
+
+# sha256 of repr(sorted((value.hex(), count))) of each run's histogram,
+# computed when every replica still built its own generator and rescanned
+# every rate; the keyed streams and the tie memo must not move them
+HISTOGRAM_DIGESTS = {
+    ("school_9_11", "stoc", 0.0):
+        "09e7182b48cfd184cb33dd611dbd4d265f05fa9f63060de388519d984ecc3c6b",
+    ("school_9_11", "stoc", 1e-9):
+        "09e7182b48cfd184cb33dd611dbd4d265f05fa9f63060de388519d984ecc3c6b",
+    ("school_9_11", "iso", 0.0):
+        "4562a8ee90284ee5f2152d0c929a70e30d457339d4ca7cbcdfe43a3fb12c1b4b",
+    ("school_9_11", "iso", 1e-9):
+        "4562a8ee90284ee5f2152d0c929a70e30d457339d4ca7cbcdfe43a3fb12c1b4b",
+    ("school_5_5_ref", "stoc", 0.0):
+        "af1d78be033a3994162f72211fe93ff7187c27078df2d73b748b2ee8f5d900a7",
+    ("school_5_5_ref", "stoc", 1e-9):
+        "af1d78be033a3994162f72211fe93ff7187c27078df2d73b748b2ee8f5d900a7",
+    ("school_5_5_ref", "iso", 0.0):
+        "9b1610f5cc3a91aff7f9a7e35ad12a0b95cc523b722b5ddf98caa75930aba7d7",
+    ("school_5_5_ref", "iso", 1e-9):
+        "9b1610f5cc3a91aff7f9a7e35ad12a0b95cc523b722b5ddf98caa75930aba7d7",
+    ("chvatal_6_5", "stoc", 0.0):
+        "f94d2b08d42baa02fcf93a78cd92398f8b0ca58c7c4c018dcd7397fb5a01bb56",
+    ("chvatal_6_5", "stoc", 1e-9):
+        "f94d2b08d42baa02fcf93a78cd92398f8b0ca58c7c4c018dcd7397fb5a01bb56",
+    ("chvatal_6_5", "iso", 0.0):
+        "f94d2b08d42baa02fcf93a78cd92398f8b0ca58c7c4c018dcd7397fb5a01bb56",
+    ("chvatal_6_5", "iso", 1e-9):
+        "f94d2b08d42baa02fcf93a78cd92398f8b0ca58c7c4c018dcd7397fb5a01bb56",
+    ("m100_100_10_10", "stoc", 0.0):
+        "115e6008a628cb3e77b8ce7699dc4d5cffbc647ba018b44b275373e62d519624",
+    ("m100_100_10_10", "stoc", 1e-9):
+        "115e6008a628cb3e77b8ce7699dc4d5cffbc647ba018b44b275373e62d519624",
+    ("m100_100_10_10", "iso", 0.0):
+        "251a1796da152b92c329dd0130a1165e5a9fd5a213dacb23eeda2c03b9408f9d",
+    ("m100_100_10_10", "iso", 1e-9):
+        "251a1796da152b92c329dd0130a1165e5a9fd5a213dacb23eeda2c03b9408f9d",
+    ("m100_100_10_30", "stoc", 0.0):
+        "d220f160e1818e22a109ab171776aa3db5af7ecb4d24b614ff67b4e3e5a9eb75",
+    ("m100_100_10_30", "stoc", 1e-9):
+        "d220f160e1818e22a109ab171776aa3db5af7ecb4d24b614ff67b4e3e5a9eb75",
+    ("m100_100_10_30", "iso", 0.0):
+        "f6715ea6ca02f9508bc8f8da4ae187a83c08b62df58cb7191d5158cb121a3fba",
+    ("m100_100_10_30", "iso", 1e-9):
+        "f6715ea6ca02f9508bc8f8da4ae187a83c08b62df58cb7191d5158cb121a3fba",
+}
+
+
+def histogram_digest(histogram) -> str:
+    return hashlib.sha256(repr(sorted(
+        (v.hex(), c) for v, c in histogram.items())).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,solver,tol", sorted(HISTOGRAM_DIGESTS))
+def test_distribution_histograms_pinned(name, solver, tol):
+    make, seeds, mode, meta_seed = DIGEST_RUNS[name]
+    summary = run_cover_distribution(make(), seeds, solver, mode,
+                                     meta_seed=meta_seed, tie_tol=tol)
+    assert histogram_digest(summary.value_histogram) == \
+        HISTOGRAM_DIGESTS[name, solver, tol]
+
+
+def _count_generators(monkeypatch):
+    """Count every generator a distribution run resets or builds."""
+    calls = []
+    original = ReplicaStreams.rng
+
+    def rng(self, i):
+        calls.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(ReplicaStreams, "rng", rng)
+    monkeypatch.setattr(cover, "seeded_rng",
+                        lambda seed: calls.append(seed) or seeded_rng(seed))
+    return calls
+
+
+def test_untied_replicas_make_no_generator(monkeypatch):
+    calls = _count_generators(monkeypatch)
+    for mode in ("consecutive", "random"):
+        summary = run_cover_distribution(chvatal_6_5(), 2000, "stoc", mode)
+        assert sum(summary.value_histogram.values()) == 2000
+    assert calls == []
+    # school_9_11 ties at its first pick: one stream per replica, no more
+    run_cover_distribution(school_9_11(), 500, "stoc", "consecutive")
+    assert calls == list(range(500))
+
+
+# meta seed 143's second random-mode draw is replica id 0
+ZERO_META_SEED = 143
+
+
+@pytest.mark.parametrize("solver", ["stoc", "iso"])
+def test_random_mode_replica_zero_is_basic(monkeypatch, solver):
+    seeds = seeded_rng(ZERO_META_SEED).integers(0, 10**6, size=2).tolist()
+    assert seeds[1] == 0
+    inst = school_5_5_ref()
+    single = {"stoc": cover.greedy_stoc, "iso": cover.greedy_iso}[solver]
+    basic = cover.greedy_basic(inst)
+    assert single(inst, 0) == basic
+    expected = Counter([single(inst, seeds[0]).value, basic.value])
+    calls = _count_generators(monkeypatch)
+    summary = run_cover_distribution(inst, 2, solver, "random",
+                                     meta_seed=ZERO_META_SEED)
+    assert summary.value_histogram == expected
+    # a stoc replica 0 asks for no stream; the permutation Philox(0) would
+    # draw gives another value, so the iso histogram above would show it
+    if solver == "stoc":
+        assert 1 not in calls
+    perm0 = tuple((seeded_rng(0).permutation(inst.n_cols) + 1).tolist())
+    assert cover.greedy_basic(permute_columns(inst, perm0)).value != \
+        basic.value
+
+
+def test_converge_passes_tie_tol():
+    near = parse_cnf("p cnf 2 2\nw 1 1\nw 2 1.0000000008\n1 2 0\n1 2 0\n",
+                     name="near")
+    (exact,) = converge_check(near, [400], "stoc")
+    (loose,) = converge_check(near, [400], "stoc", tie_tol=1e-9)
+    assert exact.value_histogram == {1.0: 400}
+    assert loose.value_histogram == run_cover_distribution(
+        near, 400, "stoc", tie_tol=1e-9).value_histogram
+    assert len(loose.value_histogram) == 2
+
+
+def test_default_registry_follows_environment(tmp_path, monkeypatch):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({"chvatal_6_5.cnfW": 7.5}))
+    second.write_text(json.dumps({"chvatal_6_5.cnfW": 8.5,
+                                  "extra.cnfU": 3}))
+    monkeypatch.setattr(experiments, "_default_registry", None)
+    monkeypatch.delenv(experiments.BKV_REGISTRY_ENV, raising=False)
+    assert default_registry().get("chvatal_6_5.cnfW") == 1.1
+    monkeypatch.setenv(experiments.BKV_REGISTRY_ENV, str(first))
+    assert default_registry().get("chvatal_6_5.cnfW") == 7.5
+    assert default_registry().get("extra.cnfU") is None
+    monkeypatch.setenv(experiments.BKV_REGISTRY_ENV, str(second))
+    assert default_registry().get("chvatal_6_5.cnfW") == 8.5
+    assert default_registry().get("extra.cnfU") == 3
+    # the registry is kept per value: going back gives the same object
+    with_first = default_registry()
+    monkeypatch.setenv(experiments.BKV_REGISTRY_ENV, str(first))
+    assert default_registry().get("chvatal_6_5.cnfW") == 7.5
+    monkeypatch.setenv(experiments.BKV_REGISTRY_ENV, str(second))
+    assert default_registry() is with_first
+    monkeypatch.delenv(experiments.BKV_REGISTRY_ENV)
+    assert default_registry().get("chvatal_6_5.cnfW") == 1.1
+    assert run_cover_distribution(chvatal_6_5(), 5, "stoc").bkv == 1.1
+    monkeypatch.setattr(experiments, "_default_registry", None)

@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from bglab.cover import brute_force_cover, greedy_basic
-from bglab.generators import (gen_isomorph, gen_movielib, gen_random_instance,
-                              isomorph_permutation, permute_columns,
-                              read_movielib, seeded_rng, urn_trial,
-                              write_movielib)
+from bglab.generators import (ReplicaStreams, gen_isomorph, gen_movielib,
+                              gen_random_instance, isomorph_permutation,
+                              permute_columns, read_movielib, replica_keys,
+                              seeded_rng, urn_trial, write_movielib)
 from bglab.instances import (UnateRequiredError, compute_stats, parse_cnf,
                              write_cnf)
 from bglab.library import SCHOOL_5_5_ISO_PERM, school_5_5_ref
@@ -20,6 +21,50 @@ def test_seeded_rng_deterministic():
     c = seeded_rng(43).integers(0, 1 << 30, size=8)
     assert a.tolist() == b.tolist()
     assert a.tolist() != c.tolist()
+
+
+KEY_SEEDS = list(range(4096)) + [2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1]
+
+
+def test_replica_keys_equal_seed_sequence():
+    keys = replica_keys(KEY_SEEDS)
+    assert keys.shape == (len(KEY_SEEDS), 2)
+    assert keys.dtype == np.uint64
+    for s, key in zip(KEY_SEEDS, keys):
+        expected = np.random.SeedSequence(s).generate_state(2, np.uint64)
+        assert key.tolist() == expected.tolist(), s
+    # a range gives the same keys as the list of its seeds
+    assert np.array_equal(replica_keys(range(1, 300)), keys[1:300])
+    assert replica_keys([]).shape == (0, 2)
+
+
+@pytest.mark.parametrize("seeds", [[-1], [3, -5], [2**64]])
+def test_replica_keys_reject_out_of_range(seeds):
+    with pytest.raises(ValueError):
+        replica_keys(seeds)
+
+
+def test_replica_streams_equal_seeded_rng():
+    seeds = [7, 0, 2**40 + 3, 7, 999_999]
+    streams = ReplicaStreams(seeds)
+    # each stream is used differently, so leftover buffer state would show
+    for i in (3, 1, 0, 4, 2, 0):
+        rng, ref = streams.rng(i), seeded_rng(seeds[i])
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        assert rng.random() == ref.random()
+        assert rng.integers(0, 3) == ref.integers(0, 3)
+        assert rng.random() == ref.random()
+        assert rng.permutation(9).tolist() == ref.permutation(9).tolist()
+        assert rng.integers(0, 1 << 40, size=5).tolist() == \
+            ref.integers(0, 1 << 40, size=5).tolist()
+
+
+def test_isomorph_permutation_from_given_stream():
+    streams = ReplicaStreams([5, 0])
+    assert isomorph_permutation(12, 5, streams.rng(0)) == \
+        isomorph_permutation(12, 5)
+    # replica 0 stays the natural order, whatever stream comes with it
+    assert isomorph_permutation(4, 0, streams.rng(1)) == (1, 2, 3, 4)
 
 
 def test_gen_random_deterministic():
