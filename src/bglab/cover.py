@@ -139,19 +139,6 @@ def _tie_set(masks: list[int], weights, uncov: int,
     minimum, times (1 + tie_tol) when a tolerance is given. Columns come in
     reference order; the set is empty when no column covers an `uncov` row.
     """
-    if not tie_tol:
-        # one pass, keeping the columns at the lowest rate seen so far
-        best = None
-        ties = []
-        for j, mask in enumerate(masks):
-            deg = (mask & uncov).bit_count()
-            if deg:
-                rate = weights[j] / deg
-                if best is None or rate < best:
-                    best, ties = rate, [j]
-                elif rate == best:
-                    ties.append(j)
-        return tuple(ties)
     cols = []
     rates = []
     for j, mask in enumerate(masks):
@@ -464,12 +451,18 @@ def exact_stoc_distribution(instance: BigraphInstance, tie_tol: float = 0.0
     Under uniform tie-breaking each pick passes 1/|ties| of a state's
     probability to each tied column, so propagating the mass pick by pick
     over the (picked columns, covered rows) states gives the outcome
-    distribution as exact fractions. The cost grows with the number of
-    reachable states, which small instances keep small.
+    distribution as exact fractions. A state's covered rows follow from its
+    picked columns, so at most 2^n states are reachable; limited to <= 16
+    columns.
     """
+    if not instance.is_unate:
+        raise UnateRequiredError(f"{instance.name}: unate required")
+    n = instance.n_cols
+    if n > 16:
+        raise ValueError(f"{instance.name}: {n} columns exceed the "
+                         f"16-column exact-distribution limit")
     col_masks = _column_masks(instance)
     full = (1 << instance.m_rows) - 1
-    n = instance.n_cols
     outcomes: dict[tuple[int, ...], Fraction] = {}
     layer = {(0, 0): Fraction(1)}  # (picked-column bits, covered rows)
     while layer:

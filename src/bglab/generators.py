@@ -60,10 +60,10 @@ def replica_keys(seeds) -> np.ndarray:
     four with zeros, so one pass of uint32 array arithmetic hashes the whole
     block; the hash constants do not depend on the data.
     """
-    try:
-        s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
-    except OverflowError:
-        raise ValueError("seeds must lie in 0 .. 2**64 - 1") from None
+    # checked on the Python ints: numpy 1.x wraps -1 to 2**64 - 1 silently
+    if not all(0 <= seed < 1 << 64 for seed in seeds):
+        raise ValueError("seeds must lie in 0 .. 2**64 - 1")
+    s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     words = [(s & _MASK32).astype(np.uint32), (s >> 32).astype(np.uint32)]
     words += [np.zeros_like(words[0])] * (_POOL - len(words))
     hashmix = _hashmix(_INIT_A, _MULT_A)

@@ -511,6 +511,17 @@ def test_exact_distribution_validation():
     with pytest.raises(UnateRequiredError):
         exact_stoc_distribution(parse_cnf("p cnf 2 1\n1 -2 0\n"))
 
+    def wide(n):
+        return BigraphInstance(name="wide", n_cols=n, m_rows=1,
+                               rows=(tuple(range(1, n + 1)),),
+                               col_weights=(1.0,) * n, weight_kind=UNIT)
+
+    exact = exact_stoc_distribution(wide(16))
+    assert len(exact) == 16
+    assert set(exact.values()) == {Fraction(1, 16)}
+    with pytest.raises(ValueError, match="16-column"):
+        exact_stoc_distribution(wide(17))
+
 
 def _replica_coords(engine, tol):
     import bglab.cover as cover_mod
