@@ -13,6 +13,7 @@ import heapq
 import io
 import os
 import tempfile
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -119,7 +120,7 @@ def watch_histogram(watches: list[WatchRecord]) -> dict[int, int]:
     return dict(hist)
 
 
-_timing_active = False
+_timing_lock = threading.Lock()
 
 
 def time_phases(task: PhaseTask, size_param: int,
@@ -130,12 +131,10 @@ def time_phases(task: PhaseTask, size_param: int,
     The final solve result is returned alongside the timing so correctness
     checks run on the same execution.
     """
-    global _timing_active
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    if _timing_active:
+    if not _timing_lock.acquire(blocking=False):
         raise RuntimeError("timing harness is already running in-process")
-    _timing_active = True
     try:
         prepared = task.prepare(size_param) if task.prepare else size_param
         reads: list[float] = []
@@ -162,7 +161,7 @@ def time_phases(task: PhaseTask, size_param: int,
                              runtime_solve=median(solves))
         return timing, result
     finally:
-        _timing_active = False
+        _timing_lock.release()
 
 
 def asymptotic_sweep(sizes, task: PhaseTask,

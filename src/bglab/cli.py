@@ -9,6 +9,7 @@ fixed seeds. Exit status is 0 on success and 2 on any error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,10 +31,8 @@ def _load_instance(path: str, as_format: str = "auto",
     if as_format == "cnf":
         inst = instances.parse_cnf(text, name=stem)
         if unit_weights and inst.weight_kind == instances.WEIGHTED:
-            inst = instances.BigraphInstance(
-                name=stem, n_cols=inst.n_cols, m_rows=inst.m_rows,
-                rows=inst.rows, col_weights=(1.0,) * inst.n_cols,
-                weight_kind=instances.UNIT)
+            inst = dataclasses.replace(inst, col_weights=(1.0,) * inst.n_cols,
+                                       weight_kind=instances.UNIT)
         return inst
     return instances.ingest_orlib(text, name=stem, unit_weights=unit_weights)
 
@@ -270,7 +269,7 @@ def cmd_urn(args) -> int:
     rows = []
     # one derived seed per row, else rows would share the generator stream
     for offset, size in enumerate(sizes):
-        trials = args.trials if args.trials else size
+        trials = args.trials if args.trials is not None else size
         frac = generators.urn_trial(size, trials, args.seed + offset)
         rows.append((size, trials, f"{frac:.6f}"))
     _rows_output(args, ("size", "trials", "unique_fraction"), rows)

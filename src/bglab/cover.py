@@ -12,11 +12,11 @@ when every row is covered. Variants differ only in how rate ties resolve:
 Rate comparison uses exact floating-point equality by default, with an
 optional relative tolerance for weights that only tie approximately.
 
-All variants run on one per-instance engine built from flat arrays: the
-rows flattened into one literal array, and the column-to-rows CSR
-(compressed sparse rows: a pointer array plus a flat row-index array)
-derived from it. An isomorph replica does not copy that engine; it runs a
-view that shares every array and carries only the permuted column order.
+All variants run on one per-instance engine built from the flat literal
+arrays and the column-to-rows CSR (compressed sparse rows: a pointer array
+plus a flat row-index array) that `instances` derives for every column-wise
+view. An isomorph replica does not copy that engine; it runs a view that
+shares every array and carries only the permuted column order.
 On small instances the engine memoizes each covered-row state's tie set,
 and a random replica draws only at ties of two or more columns, so its
 generator is made only when it is needed.
@@ -27,12 +27,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 
 import numpy as np
 
 from .generators import isomorph_permutation, seeded_rng
-from .instances import BigraphInstance, UnateRequiredError
+from .instances import BigraphInstance, column_csr, unate_literals
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,7 @@ def harmonic(d: int) -> float:
 
 def chvatal_upper_bound(bkv: float, m_cd: int) -> float:
     """Upper bound harmonic(m_cd) * bkv on the greedy cover value."""
-    if not bkv > 0:
-        raise ValueError("bkv must be positive")
-    return harmonic(m_cd) * bkv
+    return harmonic_bound(bkv, m_cd).ub
 
 
 def harmonic_bound(bkv: float, m_cd: int) -> HarmonicBound:
@@ -105,18 +103,6 @@ _SMALL_ROWS = 1024
 _TIE_MEMO_STATES = 1 << 14
 
 
-def _flat_literals(instance: BigraphInstance
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row lengths, 0-based column, row) of every literal, in row order."""
-    m = instance.m_rows
-    lengths = np.fromiter(map(len, instance.rows), dtype=np.intp, count=m)
-    flat = np.fromiter(chain.from_iterable(instance.rows),
-                       dtype=np.intp, count=int(lengths.sum()))
-    if flat.min() < 1:
-        raise UnateRequiredError(f"{instance.name}: unate required")
-    return lengths, flat - 1, np.repeat(np.arange(m, dtype=np.intp), lengths)
-
-
 def _packed_masks(cols: np.ndarray, row_of: np.ndarray, n: int,
                   m: int) -> list[int]:
     """Per-column row bitmask: bit r of mask j is set iff row r holds j."""
@@ -126,9 +112,15 @@ def _packed_masks(cols: np.ndarray, row_of: np.ndarray, n: int,
     return [int.from_bytes(b, "little") for b in packed]
 
 
-def _column_masks(instance: BigraphInstance) -> list[int]:
-    _, cols, row_of = _flat_literals(instance)
-    return _packed_masks(cols, row_of, instance.n_cols, instance.m_rows)
+def _column_masks(instance: BigraphInstance, limit: int,
+                  what: str) -> list[int]:
+    """Column bitmasks of a unate instance of at most `limit` columns."""
+    _, cols, row_of = unate_literals(instance)
+    n = instance.n_cols
+    if n > limit:
+        raise ValueError(f"{instance.name}: {n} columns exceed the "
+                         f"{limit}-column {what} limit")
+    return _packed_masks(cols, row_of, n, instance.m_rows)
 
 
 def _tie_set(masks: list[int], weights, uncov: int,
@@ -163,11 +155,11 @@ class _Engine:
     Two interchangeable inner loops cover both instance regimes: a bitmask
     loop for small instances and a vectorized scan for large ones. They see
     the same IEEE rates and the same tie ordering, so for a given random
-    stream both produce identical selections. The build flattens the rows
-    once into one literal array and derives each loop's data from it: the
-    per-column row bitmasks, or the column-to-rows CSR (`col_ptr` and
-    `col_rows`, rows ascending within a column), the column degrees and one
-    column array per row.
+    stream both produce identical selections. The build takes the flat
+    literal arrays once (`unate_literals`) and derives each loop's data from
+    them: the per-column row bitmasks, or the column-to-rows CSR (`col_ptr`
+    and `col_rows`, rows ascending within a column), the column degrees and
+    one column array per row.
 
     The bitmask loop looks each covered-row state's tie set up in
     `tie_memo`, keyed by (state, tie_tol) and shared with every view, so a
@@ -181,7 +173,7 @@ class _Engine:
     def __init__(self, instance: BigraphInstance):
         self.n = n = instance.n_cols
         self.m = m = instance.m_rows
-        lengths, cols, row_of = _flat_literals(instance)
+        lengths, cols, row_of = unate_literals(instance)
         self.weights_list = instance.col_weights
         self.order = None
         self.rank = None
@@ -191,13 +183,10 @@ class _Engine:
             self.full = (1 << m) - 1
             self.tie_memo: dict[tuple[int, float], tuple[int, ...]] = {}
             return
-        degrees = np.bincount(cols, minlength=n)
-        self.col_ptr = np.concatenate(([0], np.cumsum(degrees))).tolist()
-        # numpy's stable sort is a radix sort on 16-bit keys
-        key = cols.astype(np.uint16 if n <= 1 << 16 else np.int32)
-        self.col_rows = row_of[np.argsort(key, kind="stable")]
+        col_ptr, self.col_rows = column_csr(cols, row_of, n)
+        self.col_ptr = col_ptr.tolist()
         self.cols_of_row = np.split(cols, np.cumsum(lengths[:-1]))
-        self.degrees0 = degrees.astype(np.float64)
+        self.degrees0 = np.diff(col_ptr).astype(np.float64)
         self.weights = np.array(instance.col_weights, dtype=np.float64)
 
     def permuted(self, perm: tuple[int, ...]) -> "_Engine":
@@ -369,13 +358,8 @@ def brute_force_cover(instance: BigraphInstance
 
     Weight ties resolve to the lexicographically smallest coord.
     """
-    if not instance.is_unate:
-        raise UnateRequiredError(f"{instance.name}: unate required")
     n = instance.n_cols
-    if n > 24:
-        raise ValueError(f"{instance.name}: {n} columns exceed the "
-                         f"24-column oracle limit")
-    col_masks = _column_masks(instance)
+    col_masks = _column_masks(instance, 24, "oracle")
     full = (1 << instance.m_rows) - 1
     weights = instance.col_weights
     best_value = None
@@ -406,13 +390,8 @@ def enumerate_achievable_solutions(instance: BigraphInstance,
 
     Branches exhaustively at every tied minimum; limited to <= 8 columns.
     """
-    if not instance.is_unate:
-        raise UnateRequiredError(f"{instance.name}: unate required")
     n = instance.n_cols
-    if n > 8:
-        raise ValueError(f"{instance.name}: {n} columns exceed the "
-                         f"8-column enumeration limit")
-    col_masks = _column_masks(instance)
+    col_masks = _column_masks(instance, 8, "enumeration")
     full = (1 << instance.m_rows) - 1
     weights = instance.col_weights
     memo: dict[int, set[frozenset[int]]] = {}
@@ -455,13 +434,8 @@ def exact_stoc_distribution(instance: BigraphInstance, tie_tol: float = 0.0
     picked columns, so at most 2^n states are reachable; limited to <= 16
     columns.
     """
-    if not instance.is_unate:
-        raise UnateRequiredError(f"{instance.name}: unate required")
     n = instance.n_cols
-    if n > 16:
-        raise ValueError(f"{instance.name}: {n} columns exceed the "
-                         f"16-column exact-distribution limit")
-    col_masks = _column_masks(instance)
+    col_masks = _column_masks(instance, 16, "exact-distribution")
     full = (1 << instance.m_rows) - 1
     outcomes: dict[tuple[int, ...], Fraction] = {}
     layer = {(0, 0): Fraction(1)}  # (picked-column bits, covered rows)

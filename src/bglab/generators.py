@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -187,13 +188,8 @@ def gen_isomorph(instance: BigraphInstance, replica_id: int
     perm = isomorph_permutation(instance.n_cols, replica_id)
     if replica_id == 0:
         return instance, perm
-    permuted = permute_columns(instance, perm)
-    renamed = BigraphInstance(name=f"{base}__{replica_id}",
-                              n_cols=permuted.n_cols, m_rows=permuted.m_rows,
-                              rows=permuted.rows,
-                              col_weights=permuted.col_weights,
-                              weight_kind=permuted.weight_kind)
-    return renamed, perm
+    return replace(permute_columns(instance, perm),
+                   name=f"{base}__{replica_id}"), perm
 
 
 def urn_trial(urn_size: int, num_trials: int, seed: int) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -88,11 +89,43 @@ class BigraphInstance:
 
     def column_degrees(self) -> list[int]:
         """Number of rows each column appears in (binate literals count)."""
-        deg = [0] * self.n_cols
-        for clause in self.rows:
-            for lit in clause:
-                deg[abs(lit) - 1] += 1
-        return deg
+        _, flat = _signed_literals(self)
+        return np.bincount(np.abs(flat) - 1, minlength=self.n_cols).tolist()
+
+
+def _signed_literals(instance: BigraphInstance
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(row lengths, every signed literal in row order)."""
+    rows = instance.rows
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    return lengths, np.fromiter(chain.from_iterable(rows), np.intp,
+                                int(lengths.sum()))
+
+
+def unate_literals(instance: BigraphInstance
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row lengths, 0-based column, row) of every literal, in row order.
+
+    Every column-wise view of a unate instance derives from these arrays,
+    built per call and not cached on the instance. Raises
+    `UnateRequiredError` on a binate literal.
+    """
+    lengths, flat = _signed_literals(instance)
+    if flat.min() < 1:
+        raise UnateRequiredError(f"{instance.name}: unate required")
+    rows = np.repeat(np.arange(len(lengths), dtype=np.intp), lengths)
+    return lengths, flat - 1, rows
+
+
+def column_csr(cols: np.ndarray, row_of: np.ndarray, n_cols: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, rows): column j's rows are rows[ptr[j]:ptr[j + 1]], in the
+    order of the literals, so ascending for `unate_literals` output."""
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(cols,
+                                                     minlength=n_cols))))
+    # numpy's stable sort is a radix sort on 16-bit keys
+    key = cols.astype(np.uint16 if n_cols <= 1 << 16 else np.int32)
+    return ptr, row_of[np.argsort(key, kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -123,13 +156,9 @@ def to_incidence_matrix(instance: BigraphInstance) -> np.ndarray:
 
     Entry (r, c) is 1 iff column c+1 appears positively in row r+1.
     """
-    if not instance.is_unate:
-        raise UnateRequiredError(
-            f"{instance.name}: unate required, instance has binate literals")
+    _, cols, rows = unate_literals(instance)
     mat = np.zeros((instance.m_rows, instance.n_cols), dtype=np.uint8)
-    for r, clause in enumerate(instance.rows):
-        for lit in clause:
-            mat[r, lit - 1] = 1
+    mat[rows, cols] = 1
     return mat
 
 
@@ -304,9 +333,7 @@ def ingest_orlib(text: str, name: str = "orlib",
     if pos != len(tokens):
         raise ValueError(f"trailing tokens after row {m_rows}")
     if unit_weights:
-        return BigraphInstance(name=name, n_cols=n_cols, m_rows=m_rows,
-                               rows=tuple(clauses),
-                               col_weights=(1.0,) * n_cols, weight_kind=UNIT)
+        costs = [1.0] * n_cols
     return BigraphInstance(name=name, n_cols=n_cols, m_rows=m_rows,
-                           rows=tuple(clauses), col_weights=tuple(costs),
-                           weight_kind=WEIGHTED)
+                           rows=tuple(clauses), col_weights=costs,
+                           weight_kind=UNIT if unit_weights else WEIGHTED)

@@ -9,6 +9,8 @@ is not bundled, so the row layout here is our own.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .instances import UNIT, WEIGHTED, BigraphInstance
 
 
@@ -49,11 +51,8 @@ def school_5_5_iso() -> BigraphInstance:
     """
     from .generators import permute_columns
 
-    permuted = permute_columns(school_5_5_ref(), SCHOOL_5_5_ISO_PERM)
-    return BigraphInstance(name="school_5_5_iso", n_cols=permuted.n_cols,
-                           m_rows=permuted.m_rows, rows=permuted.rows,
-                           col_weights=permuted.col_weights,
-                           weight_kind=permuted.weight_kind)
+    return replace(permute_columns(school_5_5_ref(), SCHOOL_5_5_ISO_PERM),
+                   name="school_5_5_iso")
 
 
 def school_9_11() -> BigraphInstance:

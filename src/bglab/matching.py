@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .instances import BigraphInstance, UnateRequiredError
+from .instances import (BigraphInstance, UnateRequiredError, column_csr,
+                        unate_literals)
 
 
 @dataclass(frozen=True)
@@ -26,13 +27,10 @@ class MatchingResult:
 
 
 def _column_adjacency(instance: BigraphInstance) -> list[list[int]]:
-    if not instance.is_unate:
-        raise UnateRequiredError(f"{instance.name}: unate required")
-    adj: list[list[int]] = [[] for _ in range(instance.n_cols)]
-    for r, clause in enumerate(instance.rows):
-        for lit in clause:
-            adj[lit - 1].append(r)
-    return adj
+    """Rows of each column, ascending: slices of the column CSR."""
+    ptr, rows = column_csr(*unate_literals(instance)[1:], instance.n_cols)
+    ptr, rows = ptr.tolist(), rows.tolist()
+    return [rows[ptr[j]:ptr[j + 1]] for j in range(instance.n_cols)]
 
 
 def _augment(start: int, adj: list[list[int]], match_row: list[int],

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -148,6 +150,91 @@ def test_time_phases_refuses_reentry():
     # the guard resets after failure
     timing, _ = time_phases(task_inner, 1)
     assert timing.runtime_read >= 0.0
+
+
+def test_time_phases_refuses_second_thread():
+    entered, release = threading.Event(), threading.Event()
+    outcome = {}
+
+    def hold(size):
+        entered.set()
+        assert release.wait(timeout=30)
+        return size
+
+    def first():
+        outcome["first"] = time_phases(
+            PhaseTask(label="held", read=hold, solve=lambda d: d), 1)
+
+    def second():
+        try:
+            time_phases(PhaseTask(label="second", read=lambda s: s,
+                                  solve=lambda d: d), 1)
+            outcome["second"] = "ran"
+        except RuntimeError as exc:
+            outcome["second"] = str(exc)
+
+    holder = threading.Thread(target=first)
+    holder.start()
+    try:
+        assert entered.wait(timeout=30)
+        contender = threading.Thread(target=second)
+        contender.start()
+        contender.join(timeout=30)
+    finally:
+        release.set()
+        holder.join(timeout=30)
+    assert not contender.is_alive() and not holder.is_alive()
+    assert "already running" in outcome["second"]
+    assert outcome["first"][1] == 1
+    # the guard is free again once the holder is done
+    timing, _ = time_phases(PhaseTask(label="after", read=lambda s: s,
+                                      solve=lambda d: d), 1)
+    assert timing.runtime_read >= 0.0
+
+
+def test_time_phases_admits_one_thread_at_a_time():
+    # more threads than cores, switching often: a check-then-set guard
+    # would let two threads in at once
+    state = {"active": 0, "most": 0, "ran": 0, "refused": 0}
+    count_lock = threading.Lock()
+    start = threading.Barrier(8)
+
+    def timed(size):
+        with count_lock:
+            state["active"] += 1
+            state["most"] = max(state["most"], state["active"])
+        sum(range(200))
+        with count_lock:
+            state["active"] -= 1
+        return size
+
+    task = PhaseTask(label="stress", read=timed, solve=lambda d: d)
+
+    def worker():
+        start.wait(timeout=30)
+        for _ in range(300):
+            try:
+                time_phases(task, 1)
+                outcome = "ran"
+            except RuntimeError:
+                outcome = "refused"
+            with count_lock:
+                state[outcome] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert state["ran"] + state["refused"] == 8 * 300
+    assert state["ran"] > 0
+    assert state["most"] == 1
 
 
 def test_sweep_three_sizes(tmp_path):

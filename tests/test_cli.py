@@ -190,6 +190,25 @@ def test_converge_tie_tol_matches_dist(capsys, tmp_path):
     assert set(histograms["1e-9"]) == {"1", "1.000000001"}
 
 
+@pytest.mark.parametrize("command", ["dist", "converge"])
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("bkv", ["0", "-2", "nan"])
+def test_dist_converge_reject_nonpositive_bkv(capsys, monkeypatch,
+                                              chvatal_path, command, fmt,
+                                              bkv):
+    import bglab.cover as cover_mod
+
+    def no_engine(instance):
+        raise AssertionError("a replica ran before the bkv check")
+
+    monkeypatch.setattr(cover_mod, "_Engine", no_engine)
+    rc, out, err = run(capsys, command, chvatal_path, "--bkv", bkv,
+                       "--format", fmt)
+    assert rc == 2
+    assert out == ""
+    assert "bkv must be positive" in err
+
+
 def test_ub_from_flags(capsys):
     rc, out, _ = run(capsys, "ub", "--bkv", "11.5", "--mcd", "6")
     assert rc == 0
@@ -254,6 +273,19 @@ def test_urn_csv(capsys):
     assert len(lines) == 4
     fracs = [float(line.split(",")[2]) for line in lines[1:]]
     assert all(0 < f <= 1 for f in fracs)
+
+
+def test_urn_rejects_zero_trials(capsys):
+    for trials in ("0", "-1"):
+        rc, out, err = run(capsys, "urn", "--sizes", "64", "--trials",
+                           trials)
+        assert rc == 2
+        assert out == ""
+        assert "num_trials must be positive" in err
+    rc, out, _ = run(capsys, "urn", "--sizes", "64", "--trials", "5",
+                     "--format", "csv")
+    assert rc == 0
+    assert out.splitlines()[1].startswith("64,5,")
 
 
 def test_urn_full_sweep_converges(capsys):

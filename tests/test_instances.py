@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bglab.generators import gen_random_instance
 from bglab.instances import (UNIT, WEIGHTED, BigraphInstance, ParseError,
-                             UnateRequiredError, compute_stats, ingest_orlib,
-                             parse_cnf, to_incidence_matrix, write_cnf)
+                             UnateRequiredError, column_csr, compute_stats,
+                             ingest_orlib, parse_cnf, to_incidence_matrix,
+                             unate_literals, write_cnf)
 from bglab.library import chvatal_6_5
+from bglab.matching import _column_adjacency
 
 from conftest import random_instance
 
@@ -165,6 +169,47 @@ def test_incidence_chvatal_degrees():
 def test_incidence_rejects_binate():
     with pytest.raises(UnateRequiredError, match="unate required"):
         to_incidence_matrix(parse_cnf(BINATE_TEXT))
+
+
+def _with_signs(rs, inst):
+    """`inst` with each literal negated with probability 1/2."""
+    return replace(inst, rows=tuple(
+        tuple(lit if rs.random() < 0.5 else -lit for lit in clause)
+        for clause in inst.rows))
+
+
+def test_column_views_match_literal_loop(rs):
+    # every view derived from the flat literals equals a per-literal loop
+    insts = [random_instance(rs, n_max=30, m_max=60, deg_max=8)
+             for _ in range(25)]
+    insts.append(gen_random_instance(30, 70000, 1, 4, seed=2))  # > 2^16
+    for inst in insts:
+        n, m = inst.n_cols, inst.m_rows
+        rows_of_col = [[] for _ in range(n)]
+        mat = np.zeros((m, n), dtype=np.uint8)
+        for r, clause in enumerate(inst.rows):
+            for lit in clause:
+                rows_of_col[lit - 1].append(r)
+                mat[r, lit - 1] = 1
+        assert inst.column_degrees() == [len(rows) for rows in rows_of_col]
+        assert np.array_equal(to_incidence_matrix(inst), mat)
+        lengths, cols, row_of = unate_literals(inst)
+        assert lengths.tolist() == [len(clause) for clause in inst.rows]
+        assert cols.tolist() == [lit - 1 for clause in inst.rows
+                                 for lit in clause]
+        assert row_of.tolist() == [r for r, clause in enumerate(inst.rows)
+                                   for _ in clause]
+        ptr, col_rows = column_csr(cols, row_of, n)
+        assert [col_rows[ptr[j]:ptr[j + 1]].tolist()
+                for j in range(n)] == rows_of_col
+        assert _column_adjacency(inst) == rows_of_col
+        binate = _with_signs(rs, inst)
+        assert binate.column_degrees() == inst.column_degrees()
+        if not binate.is_unate:
+            with pytest.raises(UnateRequiredError, match="unate required"):
+                unate_literals(binate)
+            with pytest.raises(UnateRequiredError, match="unate required"):
+                _column_adjacency(binate)
 
 
 def test_instance_validation():
