@@ -9,7 +9,6 @@ fixed seeds. Exit status is 0 on success and 2 on any error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -31,8 +30,9 @@ def _load_instance(path: str, as_format: str = "auto",
     if as_format == "cnf":
         inst = instances.parse_cnf(text, name=stem)
         if unit_weights and inst.weight_kind == instances.WEIGHTED:
-            inst = dataclasses.replace(inst, col_weights=(1.0,) * inst.n_cols,
-                                       weight_kind=instances.UNIT)
+            inst = instances.BigraphInstance._trusted(
+                **{**vars(inst), "col_weights": (1.0,) * inst.n_cols,
+                   "weight_kind": instances.UNIT})
         return inst
     return instances.ingest_orlib(text, name=stem, unit_weights=unit_weights)
 

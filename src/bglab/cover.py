@@ -25,6 +25,7 @@ generator is made only when it is needed.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -142,6 +143,15 @@ def _tie_set(masks: list[int], weights, uncov: int,
         return ()
     bound = min(rates) * (1.0 + tie_tol)
     return tuple([j for j, rate in zip(cols, rates) if rate <= bound])
+
+
+def _check_tie_tol(tie_tol: float) -> None:
+    """Reject a tie tolerance that is not a finite number >= 0: a negative
+    or NaN one leaves every tie set empty, and an infinite one lets a
+    column that covers no row tie on the vectorized path."""
+    if not 0.0 <= tie_tol < math.inf:
+        raise ValueError(
+            f"tie_tol must be a finite number >= 0, got {tie_tol}")
 
 
 def _generator(rng) -> np.random.Generator:
@@ -304,6 +314,7 @@ def _solution(engine: _Engine, coord: list[int], n_ops: int,
 def greedy_basic(instance: BigraphInstance,
                  tie_tol: float = 0.0) -> CoverSolution:
     """Deterministic greedy cover (first-minimum tie rule)."""
+    _check_tie_tol(tie_tol)
     engine = _Engine(instance)
     coord, n_ops = engine.run(None, tie_tol)
     return _solution(engine, coord, n_ops, 0)
@@ -315,6 +326,7 @@ def greedy_stoc(instance: BigraphInstance, replica_id: int,
 
     replica_id 0 reproduces greedy_basic exactly.
     """
+    _check_tie_tol(tie_tol)
     if replica_id < 0:
         raise ValueError("replica_id must be nonnegative")
     engine = _Engine(instance)
@@ -339,6 +351,7 @@ def greedy_iso(instance: BigraphInstance, replica_id: int,
 
     replica_id 0 equals greedy_basic on the reference instance.
     """
+    _check_tie_tol(tie_tol)
     if replica_id < 0:
         raise ValueError("replica_id must be nonnegative")
     engine = _Engine(instance)
@@ -390,6 +403,7 @@ def enumerate_achievable_solutions(instance: BigraphInstance,
 
     Branches exhaustively at every tied minimum; limited to <= 8 columns.
     """
+    _check_tie_tol(tie_tol)
     n = instance.n_cols
     col_masks = _column_masks(instance, 8, "enumeration")
     full = (1 << instance.m_rows) - 1
@@ -434,6 +448,7 @@ def exact_stoc_distribution(instance: BigraphInstance, tie_tol: float = 0.0
     picked columns, so at most 2^n states are reachable; limited to <= 16
     columns.
     """
+    _check_tie_tol(tie_tol)
     n = instance.n_cols
     col_masks = _column_masks(instance, 16, "exact-distribution")
     full = (1 << instance.m_rows) - 1

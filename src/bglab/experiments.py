@@ -222,6 +222,7 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
         raise ValueError("num_seeds must be >= 1")
     if bkv is not None and not bkv > 0:
         raise ValueError("bkv must be positive")
+    cover._check_tie_tol(tie_tol)
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}")
     if seed_mode not in SEED_MODES:

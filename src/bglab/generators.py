@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -151,10 +150,11 @@ def permute_columns(instance: BigraphInstance,
                       for lit in clause), key=abs))
         for clause in instance.rows)
     weights = tuple(instance.col_weights[col - 1] for col in perm)
-    return BigraphInstance(name=instance.name, n_cols=n,
-                           m_rows=instance.m_rows, rows=rows,
-                           col_weights=weights,
-                           weight_kind=instance.weight_kind)
+    # a bijective relabelling keeps every invariant of a valid instance
+    return BigraphInstance._trusted(name=instance.name, n_cols=n,
+                                    m_rows=instance.m_rows, rows=rows,
+                                    col_weights=weights,
+                                    weight_kind=instance.weight_kind)
 
 
 def isomorph_permutation(n_cols: int, replica_id: int,
@@ -188,8 +188,9 @@ def gen_isomorph(instance: BigraphInstance, replica_id: int
     perm = isomorph_permutation(instance.n_cols, replica_id)
     if replica_id == 0:
         return instance, perm
-    return replace(permute_columns(instance, perm),
-                   name=f"{base}__{replica_id}"), perm
+    permuted = permute_columns(instance, perm)
+    return BigraphInstance._trusted(**{**vars(permuted),
+                                       "name": f"{base}__{replica_id}"}), perm
 
 
 def urn_trial(urn_size: int, num_trials: int, seed: int) -> float:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from collections.abc import Iterator
+from itertools import chain, islice
 
 import numpy as np
 
@@ -78,6 +79,23 @@ class BigraphInstance:
                     f"column {c}: nonpositive or non-finite weight {w}")
         if self.weight_kind == UNIT and any(w != 1.0 for w in self.col_weights):
             raise ValueError("unit instance with non-unit weights")
+
+    @classmethod
+    def _trusted(cls, *, name: str, n_cols: int, m_rows: int,
+                 rows: tuple[tuple[int, ...], ...],
+                 col_weights: tuple[float, ...],
+                 weight_kind: str) -> "BigraphInstance":
+        """Instance from fields the caller has already checked.
+
+        Skips `__post_init__`: every invariant it enforces must hold, with
+        `rows` a tuple of tuples of int and `col_weights` a tuple of float.
+        The readers build through it after checking each literal once, and
+        so do relabellings of an instance that is already valid.
+        """
+        inst = object.__new__(cls)
+        vars(inst).update(name=name, n_cols=n_cols, m_rows=m_rows, rows=rows,
+                          col_weights=col_weights, weight_kind=weight_kind)
+        return inst
 
     @property
     def is_unate(self) -> bool:
@@ -162,6 +180,82 @@ def to_incidence_matrix(instance: BigraphInstance) -> np.ndarray:
     return mat
 
 
+# Python's whitespace (`str.isspace`, where `str.split` splits) by code
+# point; the last entry stands for every code point above U+3000, none of
+# which is whitespace.
+_SPACE = np.zeros(0x3002, dtype=bool)
+_SPACE[[*range(0x9, 0xE), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680,
+        *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000]] = True
+
+# Clause lines are converted and checked this many at a time, and the
+# text is split into lines about this many characters at a time, so no
+# list of lines, tokens or ints but the clauses themselves spans the file.
+_BLOCK_LINES = 4096
+_PIECE_CHARS = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of `text.splitlines()`, split a piece at a time; every
+    piece but the last ends just after a "\n", so no line break is cut."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _PIECE_CHARS) + 1 or len(text)
+        yield from text[start:cut].splitlines()
+        start = cut
+
+
+def _convert(tokens: list[str], dtype) -> tuple[np.ndarray, np.ndarray | None]:
+    """`tokens` read as `int()` (dtype int64) or `float()` (float64) reads
+    them, and a mask of the tokens it rejects (None when there is none).
+
+    Integers beyond int64 are clamped to its ends, outside every count and
+    index range; an error message quotes such a token through `int()`.
+    """
+    try:
+        return np.array(tokens, dtype=dtype), None
+    except (ValueError, OverflowError):
+        pass
+    read = int if dtype is np.int64 else float
+    values = np.zeros(len(tokens), dtype=dtype)
+    bad = np.zeros(len(tokens), dtype=bool)
+    for i, tok in enumerate(tokens):
+        try:
+            value = read(tok)
+        except ValueError:
+            bad[i] = True
+        else:
+            values[i] = min(max(value, -2**63), 2**63 - 1) if read is int \
+                else value
+    return values, bad if bad.any() else None
+
+
+def _shared_ints(values: np.ndarray) -> np.ndarray:
+    """`values` as an object array of Python ints with one int object per
+    distinct value, so that the rows built from it share them."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array(distinct.tolist(), dtype=object)[index.reshape(-1)]
+
+
+def _repeats(cols: np.ndarray, row_of: np.ndarray, skip: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the literals `cols`, of ascending 0-based rows `row_of`,
+    whose column appeared earlier in their row, and the stable order that
+    sorts them by row, then column. A literal in `skip` is not counted."""
+    mags = np.where(skip, 0, np.abs(cols))
+    span = int(mags.max(initial=0)) + 1
+    if row_of.size and (int(row_of[-1]) + 1) * span > 2**63:
+        # columns too wide for an int64 key: rank them first
+        mags = np.unique(mags, return_inverse=True)[1].reshape(-1)
+        span = int(mags.max()) + 1
+    keys = row_of * span + mags
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    repeat = np.zeros(cols.size, dtype=bool)
+    repeat[order[1:][ranked[1:] == ranked[:-1]]] = True
+    repeat[skip] = False
+    return repeat, order
+
+
 def parse_cnf(text: str, name: str = "instance") -> BigraphInstance:
     """Parse clause-format text into an instance.
 
@@ -170,12 +264,17 @@ def parse_cnf(text: str, name: str = "instance") -> BigraphInstance:
     ``w <colIndex> <weight>`` preceding the clauses; then one clause per line
     as signed integers terminated by 0. Weight kind is inferred from the
     presence of weight lines.
+
+    The lines up to the first clause are read one at a time; the clause
+    lines are converted and checked in numpy, a block of lines at a time,
+    and the first faulty line raises `ParseError`.
     """
+    lines = _lines(text)
     n_cols = m_rows = None
     weights: dict[int, float] = {}
-    clauses: list[tuple[int, ...]] = []
     line_no = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    first = None
+    for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
@@ -194,8 +293,6 @@ def parse_cnf(text: str, name: str = "instance") -> BigraphInstance:
         if tokens[0] == "w":
             if n_cols is None:
                 raise ParseError(line_no, "weight line before problem line")
-            if clauses:
-                raise ParseError(line_no, "weight line after first clause")
             if len(tokens) != 3:
                 raise ParseError(line_no, "weight line needs column and weight")
             try:
@@ -212,41 +309,116 @@ def parse_cnf(text: str, name: str = "instance") -> BigraphInstance:
                                  else f"non-finite weight {w}")
             weights[col] = w
             continue
-        # clause line
-        if n_cols is None:
-            raise ParseError(line_no, "clause before problem line")
-        try:
-            lits = [int(t) for t in tokens]
-        except ValueError:
-            raise ParseError(line_no, f"bad clause tokens: {raw.strip()!r}")
-        if lits[-1] != 0:
-            raise ParseError(line_no, "clause not terminated by 0")
-        lits = lits[:-1]
-        if not lits:
-            raise ParseError(line_no, "empty clause")
-        if 0 in lits:
-            raise ParseError(line_no, "0 inside clause")
-        seen = set()
-        for lit in lits:
-            if not 1 <= abs(lit) <= n_cols:
-                raise ParseError(line_no, f"index {lit} out of range")
-            if abs(lit) in seen:
-                raise ParseError(line_no, f"duplicate column {abs(lit)}")
-            seen.add(abs(lit))
-        if len(clauses) == m_rows:
-            raise ParseError(line_no, f"more than {m_rows} clauses")
-        clauses.append(tuple(lits))
-
+        first = raw
+        break
     if n_cols is None:
+        if first is not None:
+            raise ParseError(line_no, "clause before problem line")
         raise ParseError(max(line_no, 1), "missing problem line")
+
+    clauses: list[tuple[int, ...]] = []
+    if first is not None:
+        rest = chain([first], lines)
+        while block := list(islice(rest, _BLOCK_LINES)):
+            _read_clauses(block, line_no, n_cols, m_rows, clauses)
+            line_no += len(block)
+        line_no -= 1
     if len(clauses) != m_rows:
         raise ParseError(line_no,
                          f"expected {m_rows} clauses, found {len(clauses)}")
     kind = WEIGHTED if weights else UNIT
     col_weights = tuple(weights.get(c, 1.0) for c in range(1, n_cols + 1))
-    return BigraphInstance(name=name, n_cols=n_cols, m_rows=m_rows,
-                           rows=tuple(clauses), col_weights=col_weights,
-                           weight_kind=kind)
+    return BigraphInstance._trusted(name=name, n_cols=n_cols, m_rows=m_rows,
+                                    rows=tuple(clauses),
+                                    col_weights=col_weights, weight_kind=kind)
+
+
+def _read_clauses(block: list[str], first_no: int, n_cols: int, m_rows: int,
+                  clauses: list[tuple[int, ...]]) -> None:
+    """Check the lines of `block`, numbered from `first_no`, and append
+    their clauses to `clauses`; raise `ParseError` at the first faulty one.
+
+    Past the first clause a line is blank, a comment, or a clause; a
+    problem or weight line there is a fault.
+    """
+    joined = "\n".join(block)
+    tokens = joined.split()
+    # tokens per line: a token starts at a non-space code point after a
+    # space or at the start, and the lines are joined at "\n"
+    points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"),
+                           dtype=np.uint32)
+    space = _SPACE[np.minimum(points, _SPACE.size - 1)]
+    starts = ~space
+    starts[1:] &= space[:-1]
+    width = np.bincount(np.cumsum(points == 10)[starts], minlength=len(block))
+    del points, space, starts
+    line_of = np.repeat(np.arange(len(block)), width)
+    first_tok = np.cumsum(width) - width
+    values, bad = _convert(tokens, np.int64)
+
+    # every comment holds a token int() rejects, its "c"; the first other
+    # line holding one ends the block's clauses
+    clause = width > 0
+    stop = None
+    if bad is not None:
+        for line in np.unique(line_of[bad]).tolist():
+            if tokens[first_tok[line]] != "c":
+                stop = line
+                clause[line:] = False
+                break
+            clause[line] = False
+
+    keep = clause[line_of]
+    tok_at = np.flatnonzero(keep)
+    vals = values[keep]
+    lens = width[clause]
+    line_nos = np.flatnonzero(clause) + first_no
+    last = np.cumsum(lens) - 1
+    is_lit = np.ones(vals.size, dtype=bool)
+    is_lit[last] = False
+    lits = vals[is_lit]
+    lit_at = tok_at[is_lit]
+    lit_line = np.repeat(np.arange(lens.size), lens - 1)
+    zero = lits == 0
+    out = (lits < -n_cols) | (lits > n_cols)
+    repeat, _ = _repeats(lits, lit_line, out | zero)
+
+    def lines_with(mask):
+        return np.bincount(lit_line[mask], minlength=lens.size) > 0
+
+    unterminated = vals[last] != 0
+    zero_inside = lines_with(zero)
+    faulty = np.flatnonzero(unterminated | (lens == 1) | zero_inside
+                            | lines_with(out | repeat))
+    room = m_rows - len(clauses)
+    first = int(faulty[0]) if faulty.size else lens.size
+    if room < min(first, lens.size):
+        raise ParseError(int(line_nos[room]), f"more than {m_rows} clauses")
+    if first < lens.size:
+        line_no = int(line_nos[first])
+        if unterminated[first]:
+            raise ParseError(line_no, "clause not terminated by 0")
+        if lens[first] == 1:
+            raise ParseError(line_no, "empty clause")
+        if zero_inside[first]:
+            raise ParseError(line_no, "0 inside clause")
+        i = np.flatnonzero((out | repeat) & (lit_line == first))[0]
+        lit = int(tokens[lit_at[i]])
+        if out[i]:
+            raise ParseError(line_no, f"index {lit} out of range")
+        raise ParseError(line_no, f"duplicate column {abs(lit)}")
+    if stop is not None:
+        lead = tokens[first_tok[stop]]
+        if lead == "p":
+            raise ParseError(first_no + stop, "duplicate problem line")
+        if lead == "w":
+            raise ParseError(first_no + stop, "weight line after first clause")
+        raise ParseError(first_no + stop,
+                         f"bad clause tokens: {block[stop].strip()!r}")
+    del tokens, values, vals
+    flat = _shared_ints(lits).tolist()
+    ends = np.cumsum(lens - 1).tolist()
+    clauses.extend(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def _fmt_weight(w: float) -> str:
@@ -271,6 +443,13 @@ def write_cnf(instance: BigraphInstance, comments: tuple[str, ...] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _missing(tokens: list[str], pos: int, what: str) -> str:
+    """The message for a stream that has no integer `what` at `pos`."""
+    if pos >= len(tokens):
+        return f"truncated stream: expected {what}"
+    return f"expected integer {what}, got {tokens[pos]!r}"
+
+
 def ingest_orlib(text: str, name: str = "orlib",
                  unit_weights: bool = False) -> BigraphInstance:
     """Read OR-library set-covering format.
@@ -280,60 +459,86 @@ def ingest_orlib(text: str, name: str = "orlib",
     indices. Every cost must be positive and finite. With ``unit_weights``
     all costs are then overridden to 1.0, producing the unit-weight variant
     of the instance.
+
+    Costs and indices are converted and checked in numpy, and the row
+    structure is walked one step a row; the first faulty token in stream
+    order raises `ValueError`.
     """
     tokens = text.split()
-    pos = 0
 
-    def take(what: str) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError(f"truncated stream: expected {what}")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def take_int(what: str) -> int:
-        tok = take(what)
+    def header(pos: int, what: str) -> int:
         try:
-            return int(tok)
-        except ValueError:
-            raise ValueError(f"expected integer {what}, got {tok!r}")
+            return int(tokens[pos])
+        except (IndexError, ValueError):
+            raise ValueError(_missing(tokens, pos, what)) from None
 
-    m_rows = take_int("row count")
-    n_cols = take_int("column count")
+    m_rows = header(0, "row count")
+    n_cols = header(1, "column count")
     if m_rows < 1 or n_cols < 1:
         raise ValueError("row and column counts must be positive")
-    costs = []
-    for c in range(1, n_cols + 1):
-        tok = take(f"cost of column {c}")
-        try:
-            cost = float(tok)
-        except ValueError:
-            raise ValueError(f"bad cost for column {c}: {tok!r}")
-        if not 0 < cost < math.inf:
-            raise ValueError(
-                f"column {c}: nonpositive or non-finite weight {cost}")
-        costs.append(cost)
-    clauses = []
+    cost_toks = tokens[2:2 + n_cols]
+    costs, bad = _convert(cost_toks, np.float64)
+    invalid = np.flatnonzero(~((costs > 0) & (costs < math.inf)))
+    if invalid.size:
+        c = int(invalid[0])
+        if bad is not None and bad[c]:
+            raise ValueError(f"bad cost for column {c + 1}: {cost_toks[c]!r}")
+        raise ValueError(f"column {c + 1}: nonpositive or non-finite weight "
+                         f"{float(costs[c])}")
+    if len(cost_toks) < n_cols:
+        raise ValueError(f"truncated stream: expected cost of column "
+                         f"{len(cost_toks) + 1}")
+    body = tokens[2 + n_cols:]
+    del tokens, cost_toks
+    values, bad = _convert(body, np.int64)
+    end = len(body) if bad is None else int(bad.argmax())
+
+    # row r's count sits at starts[r - 1]; stop at the first fault in the
+    # structure and note where it lies
+    starts = []
+    pos = 0
+    fault = None
     for r in range(1, m_rows + 1):
-        count = take_int(f"cover count of row {r}")
+        if pos >= end:
+            fault = (pos, _missing(body, pos, f"cover count of row {r}"))
+            break
+        count = int(values[pos])
         if count < 1:
-            raise ValueError(f"row {r}: cover count must be positive")
-        cols = []
-        seen = set()
-        for _ in range(count):
-            col = take_int(f"covering column of row {r}")
-            if not 1 <= col <= n_cols:
-                raise ValueError(f"row {r}: column {col} out of range")
-            if col in seen:
-                raise ValueError(f"row {r}: duplicate column {col}")
-            seen.add(col)
-            cols.append(col)
-        clauses.append(tuple(sorted(cols)))
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens after row {m_rows}")
-    if unit_weights:
-        costs = [1.0] * n_cols
-    return BigraphInstance(name=name, n_cols=n_cols, m_rows=m_rows,
-                           rows=tuple(clauses), col_weights=costs,
-                           weight_kind=UNIT if unit_weights else WEIGHTED)
+            fault = (pos, f"row {r}: cover count must be positive")
+            break
+        starts.append(pos)
+        pos += 1 + count
+        if pos > end:
+            fault = (end, _missing(body, end, f"covering column of row {r}"))
+            break
+    else:
+        if pos != len(body):
+            fault = (pos, f"trailing tokens after row {m_rows}")
+
+    # the column indices before that fault, checked at once; an index
+    # fault earlier in the stream is reported first
+    is_count = np.zeros(pos if fault is None else fault[0], dtype=bool)
+    is_count[starts] = True
+    lit_at = np.flatnonzero(~is_count)
+    row_of = np.cumsum(is_count)[lit_at] - 1
+    cols = values[lit_at]
+    out = (cols < 1) | (cols > n_cols)
+    repeat, order = _repeats(cols, row_of, out)
+    faulty = np.flatnonzero(out | repeat)
+    if faulty.size and (fault is None or lit_at[faulty[0]] < fault[0]):
+        i = faulty[0]
+        if out[i]:
+            raise ValueError(f"row {row_of[i] + 1}: column "
+                             f"{int(body[lit_at[i]])} out of range")
+        raise ValueError(f"row {row_of[i] + 1}: duplicate column {cols[i]}")
+    if fault is not None:
+        raise ValueError(fault[1])
+    del body, values
+    cols = _shared_ints(cols[order])
+    ends = np.cumsum(np.diff(starts + [pos]) - 1).tolist()
+    rows = tuple(tuple(cols[a:b].tolist()) for a, b in zip([0] + ends, ends))
+    col_weights = (1.0,) * n_cols if unit_weights else tuple(costs.tolist())
+    return BigraphInstance._trusted(
+        name=name, n_cols=n_cols, m_rows=m_rows, rows=rows,
+        col_weights=col_weights,
+        weight_kind=UNIT if unit_weights else WEIGHTED)

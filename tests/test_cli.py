@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from bglab.cli import _parse_sizes, main
-from bglab.instances import parse_cnf, write_cnf
+from bglab.cli import _load_instance, _parse_sizes, main
+from bglab.generators import gen_random_instance
+from bglab.instances import UNIT, parse_cnf, write_cnf
 from bglab.library import chvatal_6_5, school_9_11
 
 
@@ -84,6 +86,13 @@ def test_stats_non_finite_weight_exits_2(capsys, tmp_path, name, text):
     assert rc == 2
     assert "weight" in err
     assert out == ""
+
+
+def test_unit_flag_rewraps_clause_file(chvatal_path):
+    inst = _load_instance(chvatal_path, unit_weights=True)
+    assert inst == replace(chvatal_6_5(), col_weights=(1.0,) * 6,
+                           weight_kind=UNIT)
+    assert replace(inst) == inst
 
 
 def test_stats_unit_flag_still_rejects_bad_costs(capsys, tmp_path):
@@ -188,6 +197,42 @@ def test_converge_tie_tol_matches_dist(capsys, tmp_path):
         histograms[tol] = last["histogram"]
     assert histograms["0"] == {"1": 300}
     assert set(histograms["1e-9"]) == {"1", "1.000000001"}
+
+
+@pytest.fixture
+def wide_orlib_path(tmp_path):
+    """An OR-library file wider than the bitmask engine's 128-column cut,
+    so its covers run on the vectorized path; some columns cover no row."""
+    inst = gen_random_instance(20, 140, 2, 5, seed=3)
+    lines = [f"{inst.m_rows} {inst.n_cols}", " ".join(["1"] * inst.n_cols)]
+    lines += [f"{len(row)} " + " ".join(map(str, row)) for row in inst.rows]
+    path = tmp_path / "wide.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cover", "--solver", "basic"),
+    ("cover", "--solver", "stoc", "--replica", "3"),
+    ("cover", "--solver", "iso", "--replica", "3"),
+    ("dist", "--seeds", "5"),
+    ("converge", "--counts", "5"),
+])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("wide", [False, True], ids=["bitmask", "vectorized"])
+def test_tie_tol_rejected_at_boundary(capsys, tmp_path, wide_orlib_path,
+                                      argv, tol, wide):
+    if wide:
+        path = wide_orlib_path
+    else:
+        path = str(tmp_path / "school_9_11.cnfU")
+        with open(path, "w") as fh:
+            fh.write(write_cnf(school_9_11()))
+    rc, out, err = run(capsys, argv[0], path, *argv[1:], "--tie-tol", tol)
+    assert rc == 2
+    assert out == ""
+    assert err == (f"bglab {argv[0]}: tie_tol must be a finite number >= 0, "
+                   f"got {float(tol)}\n")
 
 
 @pytest.mark.parametrize("command", ["dist", "converge"])

@@ -299,6 +299,23 @@ def test_wide_instance_uses_vectorized_path(rs):
         assert verify_cover(inst, greedy_iso(inst, rid).coord)
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_tie_tol_must_be_finite_and_nonnegative(tol):
+    from bglab.experiments import run_cover_distribution
+
+    inst = school_9_11()
+    calls = [lambda: greedy_basic(inst, tol),
+             lambda: greedy_stoc(inst, 3, tol),
+             lambda: greedy_iso(inst, 3, tol),
+             lambda: enumerate_achievable_values(chvatal_6_5(), tol),
+             lambda: exact_stoc_distribution(inst, tol),
+             lambda: run_cover_distribution(inst, 5, tie_tol=tol)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match="tie_tol must be a finite number >= 0"):
+            call()
+
+
 def test_tie_tolerance_widens_tie_sets():
     # two covering columns whose rates differ only in the 12th digit
     inst = BigraphInstance(

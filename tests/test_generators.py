@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ def test_permute_columns_roundtrip(rs):
     permuted = permute_columns(inst, perm)
     inverse = tuple(perm.index(c) + 1 for c in range(1, n + 1))
     assert permute_columns(permuted, inverse) == inst
+
+
+def test_relabelled_instances_pass_full_validation(rs):
+    # permute_columns and gen_isomorph skip the per-literal checks
+    for _ in range(50):
+        unate = random_instance(rs, weighted=rs.random() < 0.5)
+        n = unate.n_cols
+        perm = tuple(rs.sample(range(1, n + 1), n))
+        binate = replace(unate, rows=tuple(
+            tuple(lit if rs.random() < 0.5 else -lit for lit in row)
+            for row in unate.rows))
+        outputs = [permute_columns(unate, perm), permute_columns(binate, perm),
+                   gen_isomorph(unate, rs.randint(1, 99))[0]]
+        for out in outputs:
+            assert replace(out) == out
+            assert all(type(lit) is int for row in out.rows for lit in row)
+            assert all(type(w) is float for w in out.col_weights)
 
 
 def test_permute_columns_validation():

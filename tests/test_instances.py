@@ -1,9 +1,13 @@
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bglab.instances as instances_module
 from bglab.generators import gen_random_instance
 from bglab.instances import (UNIT, WEIGHTED, BigraphInstance, ParseError,
                              UnateRequiredError, column_csr, compute_stats,
@@ -12,7 +16,7 @@ from bglab.instances import (UNIT, WEIGHTED, BigraphInstance, ParseError,
 from bglab.library import chvatal_6_5
 from bglab.matching import _column_adjacency
 
-from conftest import random_instance
+from conftest import WEIGHT_POOL, random_instance
 
 TINY = "p cnf 1 1\n1 0\n"
 
@@ -306,3 +310,334 @@ def test_orlib_header_order_is_rows_then_cols(rs):
     assert inst.m_rows == m
     assert inst.n_cols == n
     assert compute_stats(inst).m_dens <= 5 / n
+
+
+# ---------------------------------------------------------------------------
+# The readers against token-by-token references.
+#
+# `_reference_parse_cnf` and `_reference_ingest_orlib` are the readers as
+# they were before they were vectorized: every token through `int()` or
+# `float()` in a Python loop, one `seen` set per row, and the public
+# constructor's full validation. The numpy readers must accept the same
+# texts, return equal instances and raise the same exception, message and
+# line number.
+
+
+def _reference_parse_cnf(text: str, name: str = "instance") -> BigraphInstance:
+    n_cols = m_rows = None
+    weights: dict[int, float] = {}
+    clauses: list[tuple[int, ...]] = []
+    line_no = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0] == "c":
+            continue
+        if tokens[0] == "p":
+            if n_cols is not None:
+                raise ParseError(line_no, "duplicate problem line")
+            if len(tokens) != 4 or tokens[1] != "cnf":
+                raise ParseError(line_no, f"bad problem line: {raw.strip()!r}")
+            try:
+                n_cols, m_rows = int(tokens[2]), int(tokens[3])
+            except ValueError:
+                raise ParseError(line_no, "problem line counts must be integers")
+            if n_cols < 1 or m_rows < 1:
+                raise ParseError(line_no, "counts must be positive")
+            continue
+        if tokens[0] == "w":
+            if n_cols is None:
+                raise ParseError(line_no, "weight line before problem line")
+            if clauses:
+                raise ParseError(line_no, "weight line after first clause")
+            if len(tokens) != 3:
+                raise ParseError(line_no, "weight line needs column and weight")
+            try:
+                col = int(tokens[1])
+                w = float(tokens[2])
+            except ValueError:
+                raise ParseError(line_no, "bad weight line tokens")
+            if not 1 <= col <= n_cols:
+                raise ParseError(line_no, f"weight column {col} out of range")
+            if col in weights:
+                raise ParseError(line_no, f"duplicate weight for column {col}")
+            if not 0 < w < math.inf:
+                raise ParseError(line_no, f"nonpositive weight {w}" if w <= 0
+                                 else f"non-finite weight {w}")
+            weights[col] = w
+            continue
+        if n_cols is None:
+            raise ParseError(line_no, "clause before problem line")
+        try:
+            lits = [int(t) for t in tokens]
+        except ValueError:
+            raise ParseError(line_no, f"bad clause tokens: {raw.strip()!r}")
+        if lits[-1] != 0:
+            raise ParseError(line_no, "clause not terminated by 0")
+        lits = lits[:-1]
+        if not lits:
+            raise ParseError(line_no, "empty clause")
+        if 0 in lits:
+            raise ParseError(line_no, "0 inside clause")
+        seen = set()
+        for lit in lits:
+            if not 1 <= abs(lit) <= n_cols:
+                raise ParseError(line_no, f"index {lit} out of range")
+            if abs(lit) in seen:
+                raise ParseError(line_no, f"duplicate column {abs(lit)}")
+            seen.add(abs(lit))
+        if len(clauses) == m_rows:
+            raise ParseError(line_no, f"more than {m_rows} clauses")
+        clauses.append(tuple(lits))
+
+    if n_cols is None:
+        raise ParseError(max(line_no, 1), "missing problem line")
+    if len(clauses) != m_rows:
+        raise ParseError(line_no,
+                         f"expected {m_rows} clauses, found {len(clauses)}")
+    kind = WEIGHTED if weights else UNIT
+    col_weights = tuple(weights.get(c, 1.0) for c in range(1, n_cols + 1))
+    return BigraphInstance(name=name, n_cols=n_cols, m_rows=m_rows,
+                           rows=tuple(clauses), col_weights=col_weights,
+                           weight_kind=kind)
+
+
+def _reference_ingest_orlib(text: str, name: str = "orlib",
+                            unit_weights: bool = False) -> BigraphInstance:
+    tokens = text.split()
+    pos = 0
+
+    def take(what: str) -> str:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ValueError(f"truncated stream: expected {what}")
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def take_int(what: str) -> int:
+        tok = take(what)
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"expected integer {what}, got {tok!r}")
+
+    m_rows = take_int("row count")
+    n_cols = take_int("column count")
+    if m_rows < 1 or n_cols < 1:
+        raise ValueError("row and column counts must be positive")
+    costs = []
+    for c in range(1, n_cols + 1):
+        tok = take(f"cost of column {c}")
+        try:
+            cost = float(tok)
+        except ValueError:
+            raise ValueError(f"bad cost for column {c}: {tok!r}")
+        if not 0 < cost < math.inf:
+            raise ValueError(
+                f"column {c}: nonpositive or non-finite weight {cost}")
+        costs.append(cost)
+    clauses = []
+    for r in range(1, m_rows + 1):
+        count = take_int(f"cover count of row {r}")
+        if count < 1:
+            raise ValueError(f"row {r}: cover count must be positive")
+        cols = []
+        seen = set()
+        for _ in range(count):
+            col = take_int(f"covering column of row {r}")
+            if not 1 <= col <= n_cols:
+                raise ValueError(f"row {r}: column {col} out of range")
+            if col in seen:
+                raise ValueError(f"row {r}: duplicate column {col}")
+            seen.add(col)
+            cols.append(col)
+        clauses.append(tuple(sorted(cols)))
+    if pos != len(tokens):
+        raise ValueError(f"trailing tokens after row {m_rows}")
+    if unit_weights:
+        costs = [1.0] * n_cols
+    return BigraphInstance(name=name, n_cols=n_cols, m_rows=m_rows,
+                           rows=tuple(clauses), col_weights=costs,
+                           weight_kind=UNIT if unit_weights else WEIGHTED)
+
+
+HYPOTHESIS = settings(max_examples=400, deadline=None, derandomize=True,
+                      database=None)
+FEWER = settings(HYPOTHESIS, max_examples=60)
+
+# replacement tokens: int() and float() disagree on some, and the 25-digit
+# ones do not fit int64
+ODD_TOKENS = ["0", "x", "inf", "nan", "1_0", "1.5", "+2", "-0", "c", "w",
+              "9" * 25, "-" + "9" * 25]
+
+
+@st.composite
+def valid_instances(draw, binate: bool = True, weighted: bool | None = None):
+    """A valid instance of 1-8 columns and 1-8 rows, literals sorted by
+    column as `write_cnf` writes them."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(m):
+        cols = sorted(draw(st.sets(st.integers(1, n), min_size=1)))
+        signs = draw(st.lists(st.booleans() if binate else st.just(False),
+                              min_size=len(cols), max_size=len(cols)))
+        rows.append(tuple(-c if neg else c for c, neg in zip(cols, signs)))
+    if weighted is None:
+        weighted = draw(st.booleans())
+    weights = (tuple(draw(st.lists(
+        st.sampled_from([*WEIGHT_POOL, 1e-3, 7.0, 12345.678, 1 / 7]),
+        min_size=n, max_size=n))) if weighted else (1.0,) * n)
+    return BigraphInstance(name="h", n_cols=n, m_rows=m, rows=tuple(rows),
+                           col_weights=weights,
+                           weight_kind=WEIGHTED if weighted else UNIT)
+
+
+def _orlib_lines(inst: BigraphInstance) -> list[list[str]]:
+    lines = [[str(inst.m_rows), str(inst.n_cols)],
+             [repr(w) for w in inst.col_weights]]
+    for row in inst.rows:
+        lines.append([str(len(row))] + [str(abs(c)) for c in row])
+    return lines
+
+
+def _cnf_lines(inst: BigraphInstance) -> list[list[str]]:
+    return [line.split() for line in write_cnf(inst).splitlines()]
+
+
+@st.composite
+def mutated(draw, lines: list[list[str]], n: int, fixed: int):
+    """The text of `lines` after up to three token or line mutations,
+    joined with drawn spacing and line ends. Lines before `fixed` keep
+    their tokens: a problem line counting 10^25 columns would make the
+    reference build a tuple that large."""
+    lines = [list(tokens) for tokens in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "replace",
+                                   "repeat", "terminator", "trail", "line"]))
+        if op == "trail":
+            lines[-1].append(draw(st.sampled_from(["1", "0", "x"])))
+            continue
+        if op == "line":
+            at = draw(st.integers(fixed, len(lines)))
+            lines.insert(at, draw(st.sampled_from(
+                [[], ["c", "mid", "body"], ["c"], ["p", "cnf", "2", "2"],
+                 ["w", "1", "2"], ["1", "0"], ["1", "-1", "0"],
+                 [str(n + 1), "0"], ["1"]])))
+            continue
+        i = draw(st.integers(fixed, len(lines) - 1))
+        row = lines[i]
+        if not row:
+            continue
+        k = draw(st.integers(0, len(row) - 1))
+        if op == "drop":
+            del row[k]
+        elif op == "duplicate":
+            row.insert(k, row[k])
+        elif op == "repeat":
+            row.insert(draw(st.integers(0, len(row))), row[k])
+        elif op == "swap":
+            j = draw(st.integers(fixed, len(lines) - 1))
+            if lines[j]:
+                other = draw(st.integers(0, len(lines[j]) - 1))
+                row[k], lines[j][other] = lines[j][other], row[k]
+        elif op == "replace":
+            row[k] = draw(st.sampled_from(
+                [*ODD_TOKENS, str(n + 1), str(-n - 1), str(n)]))
+        elif op == "terminator":
+            row[-1] = draw(st.sampled_from(["5", "x", "00", "0 0"]))
+    space = draw(st.sampled_from([" ", "  ", "\t", " \x0b"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\n\n", "\x1c"]))
+    return end.join(space.join(tokens) for tokens in lines) + end
+
+
+def _outcome(read, text: str):
+    try:
+        return read(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def _assert_same_outcome(new, reference) -> None:
+    assert new == reference
+    if isinstance(new, BigraphInstance):
+        assert new.name == reference.name
+        assert type(new.rows) is tuple
+        assert all(type(row) is tuple for row in new.rows)
+        assert all(type(lit) is int for row in new.rows for lit in row)
+        assert type(new.col_weights) is tuple
+        assert all(type(w) is float for w in new.col_weights)
+        assert replace(new) == new  # passes the public validation
+
+
+@HYPOTHESIS
+@given(st.data(), valid_instances(), st.sampled_from([1, 2, 3, 4096]),
+       st.sampled_from([1, 5, 1 << 16]))
+def test_parse_cnf_matches_reference(data, inst, block_lines, piece_chars):
+    # small blocks and text pieces put their boundaries inside the text
+    text = data.draw(mutated(_cnf_lines(inst), inst.n_cols, fixed=1))
+    with patch.object(instances_module, "_BLOCK_LINES", block_lines), \
+            patch.object(instances_module, "_PIECE_CHARS", piece_chars):
+        new = _outcome(parse_cnf, text)
+    _assert_same_outcome(new, _outcome(_reference_parse_cnf, text))
+
+
+@pytest.mark.parametrize("text", [
+    "p cnf 2 1\n1 0\n3 0\n", "p cnf 2 1\n1 0\n2 -2 0\n", "p cnf 2 1\n1 0\n1\n",
+    "p cnf 2 1\n1 0\n0\n", "p cnf 2 1\n1 0\n2 0 1 0\n"])
+def test_extra_clause_line_reports_its_own_fault_first(text):
+    # the line past the declared count is checked before it is counted
+    _assert_same_outcome(_outcome(parse_cnf, text),
+                         _outcome(_reference_parse_cnf, text))
+    assert "more than" not in str(_outcome(parse_cnf, text))
+
+
+@HYPOTHESIS
+@given(st.data(), valid_instances(binate=False), st.booleans())
+def test_ingest_orlib_matches_reference(data, inst, unit):
+    text = data.draw(mutated(_orlib_lines(inst), inst.n_cols, fixed=0))
+    new = _outcome(lambda t: ingest_orlib(t, unit_weights=unit), text)
+    reference = _outcome(
+        lambda t: _reference_ingest_orlib(t, unit_weights=unit), text)
+    _assert_same_outcome(new, reference)
+
+
+@FEWER
+@given(valid_instances(binate=False))
+def test_ingest_orlib_reads_written_instance(inst):
+    text = "\n".join(" ".join(tokens) for tokens in _orlib_lines(inst))
+    weighted = ingest_orlib(text, name="h")
+    assert weighted.rows == inst.rows
+    assert weighted.col_weights == inst.col_weights
+    _assert_same_outcome(weighted, _reference_ingest_orlib(text, name="h"))
+
+
+@pytest.mark.parametrize("binate", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+@FEWER
+@given(data=st.data())
+def test_cnf_roundtrip_property(binate, weighted, data):
+    inst = data.draw(valid_instances(binate=binate, weighted=weighted))
+    _assert_same_outcome(parse_cnf(write_cnf(inst), name=inst.name), inst)
+
+
+def test_space_table_is_python_whitespace():
+    table = instances_module._SPACE
+    assert table[:-1].tolist() == [chr(c).isspace()
+                                   for c in range(table.size - 1)]
+    assert not table[-1]
+    assert not any(chr(c).isspace() for c in range(table.size - 1, 0x110000))
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_repeats_by_row_then_column(wide):
+    # the wide columns leave no room for a row * span + column int64 key
+    big, bigger = (2**61, 2**62) if wide else (61, 62)
+    cols = np.array([bigger, 5, bigger, -5, 3, big, 7, 7], dtype=np.int64)
+    row_of = np.array([0, 0, 0, 0, 1, 1, 2, 2])
+    skip = np.zeros(cols.size, dtype=bool)
+    skip[6:] = True
+    repeat, order = instances_module._repeats(cols, row_of, skip)
+    assert repeat.tolist() == [False, False, True, True, False, False,
+                               False, False]
+    assert order.tolist() == [1, 3, 0, 2, 4, 5, 6, 7]
