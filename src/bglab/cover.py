@@ -19,7 +19,8 @@ view. An isomorph replica does not copy that engine; it runs a view that
 shares every array and carries only the permuted column order.
 On small instances the engine memoizes each covered-row state's tie set,
 and a random replica draws only at ties of two or more columns, so its
-generator is made only when it is needed.
+draw source (a generator, or a distribution run's keystream) is touched
+only when it is needed.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def _check_tie_tol(tie_tol: float) -> None:
             f"tie_tol must be a finite number >= 0, got {tie_tol}")
 
 
-def _generator(rng) -> np.random.Generator:
-    """`rng` itself, or the generator it returns if it is a function."""
+def _generator(rng):
+    """`rng` itself, or the draw source it returns if it is a function."""
     return rng() if callable(rng) else rng
 
 
@@ -222,11 +223,12 @@ class _Engine:
         """One greedy pass; returns (coord, n_ops).
 
         `rng` None selects the first minimum; otherwise selection is uniform
-        over the tied minimum set, drawn from `rng`: a generator, or a
-        function that returns one. A draw is made only at a tie of two or
-        more columns (`integers(1)` would consume no stream), and a function
-        is called at the first such draw, so a run that never ties makes no
-        generator.
+        over the tied minimum set, drawn by `rng.integers(len(ties))`: `rng`
+        is a generator, any source with that method (such as
+        `ReplicaStreams.draws`), or a function that returns one. A draw is
+        made only at a tie of two or more columns (`integers(1)` would
+        consume no stream), and a function is called at the first such
+        draw, so a run that never ties makes no generator.
         """
         if self.small:
             return self._run_small(rng, tie_tol)
@@ -334,13 +336,10 @@ def greedy_stoc(instance: BigraphInstance, replica_id: int,
 
 
 def _greedy_stoc_run(engine: _Engine, replica_id: int,
-                     tie_tol: float = 0.0, stream=None) -> CoverSolution:
-    """`stream` returns the replica's generator, `seeded_rng(replica_id)`
-    unless given; it is called only at the run's first real tie."""
-    if replica_id == 0:
-        rng = None
-    else:
-        rng = stream or (lambda: seeded_rng(replica_id))
+                     tie_tol: float = 0.0) -> CoverSolution:
+    """The replica draws from `seeded_rng(replica_id)`, made only at the
+    run's first real tie."""
+    rng = None if replica_id == 0 else (lambda: seeded_rng(replica_id))
     coord, n_ops = engine.run(rng, tie_tol)
     return _solution(engine, coord, n_ops, replica_id)
 

@@ -12,7 +12,6 @@ import json
 import os
 import statistics
 from dataclasses import dataclass
-from functools import partial
 
 from . import cover
 from .formatting import fmt_fixed, fmt_number
@@ -215,8 +214,9 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
 
     Every replica draws from the stream `seeded_rng(replica_id)` would give
     it, reached through one `ReplicaStreams` for the block: an iso replica
-    draws its permutation from it, a stoc replica only at its first tie of
-    two or more columns.
+    draws its permutation from a generator reset to that stream, a stoc
+    replica its tie-breaks from the block's keystream (`draws`), and only
+    at ties of two or more columns. A replica contributes only its value.
     """
     if num_seeds < 1:
         raise ValueError("num_seeds must be >= 1")
@@ -234,24 +234,27 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
         seeds = [int(s) for s in meta.integers(0, 10**6, size=num_seeds)]
 
     engine = cover._Engine(instance)
+    weights = instance.col_weights
     streams = ReplicaStreams(seeds)
     values: list[float] = []
     histogram: dict[float, int] = {}
     for i, rid in enumerate(seeds):
         try:
             if solver == "stoc":
-                sol = cover._greedy_stoc_run(engine, rid, tie_tol,
-                                             partial(streams.rng, i))
+                # replica 0 is the basic greedy: it draws nothing
+                coord, _ = engine.run(streams.draws(i) if rid else None,
+                                      tie_tol)
             else:
                 perm = isomorph_permutation(instance.n_cols, rid,
                                             streams.rng(i))
-                sol = cover._greedy_iso_run(engine, perm, rid, tie_tol)
+                coord, _ = engine.permuted(perm).run(None, tie_tol)
         except Exception as exc:
             raise RuntimeError(
                 f"{instance.name}: solver {solver} failed on replica "
                 f"{rid}: {exc}") from exc
-        values.append(sol.value)
-        histogram[sol.value] = histogram.get(sol.value, 0) + 1
+        value = cover.cover_value(coord, weights)
+        values.append(value)
+        histogram[value] = histogram.get(value, 0) + 1
 
     stats = Stats.from_values(values)
     if bkv is None:

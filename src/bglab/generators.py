@@ -80,6 +80,75 @@ def replica_keys(seeds) -> np.ndarray:
     return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
+# Philox4x64-10 (Salmon et al., SC'11): the multipliers of counter words 0
+# and 2, and the key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# Keys per pass of `philox_first_block`; a pass holds about 20 arrays of
+# 2 x 8 bytes per key.
+_BLOCK_CHUNK = 1024
+_WORD = 1 << 32
+# Words a replica takes from its reset generator once it draws past its
+# first block: one refill holds what a replica on a 400 x 4000 OR-library
+# instance draws (up to about 80 words), and a reset costs several draws.
+_REFILL_WORDS = 128
+
+
+def philox_first_block(keys: np.ndarray) -> np.ndarray:
+    """First eight 32-bit words of `seeded_rng` with each Philox key.
+
+    `keys` has shape (R, 2), as `replica_keys` gives it; the result has
+    shape (R, 8) and row i equals `Philox(key=keys[i]).random_raw(4)`
+    viewed as little-endian uint32. numpy's Philox bumps its counter before
+    it makes a block, so a fresh stream's first block is Philox4x64-10 at
+    counter (1, 0, 0, 0); `next_uint32` hands out the low half of each
+    64-bit output before its high half.
+
+    Keys are taken `_BLOCK_CHUNK` at a time, so the temporaries stay a
+    small fraction of the result.
+    """
+    block = np.empty((len(keys), 8), np.uint32)
+    for start in range(0, len(keys), _BLOCK_CHUNK):
+        stop = start + _BLOCK_CHUNK
+        block[start:stop] = _philox_chunk(keys[start:stop])
+    return block
+
+
+def _philox_chunk(keys: np.ndarray) -> np.ndarray:
+    """`philox_first_block` of at most `_BLOCK_CHUNK` keys.
+
+    The counter is held as two (2, R) arrays, its even words (0, 2) and its
+    odd words (1, 3), so each round multiplies both even words at once.
+    Every operand is a full (2, R) array: numpy takes several times longer
+    to broadcast a scalar or a column over a small block.
+    """
+    def rows(pair):
+        return np.array(pair, np.uint64)[:, None].repeat(len(keys), axis=1)
+
+    mult, bump = rows(_PHILOX_M), rows(_PHILOX_W)
+    shift, low = rows((32, 32)), rows((_MASK32, _MASK32))
+    m_hi, m_lo = mult >> shift, mult & low
+    key = keys.T.copy()
+    even = np.zeros_like(key)
+    even[0] = 1
+    odd = np.zeros_like(key)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += bump
+        # high 64 bits of mult * even from 32-bit partial products
+        # (Hacker's Delight's mulhu); no sum overflows uint64
+        e_hi, e_lo = even >> shift, even & low
+        t = m_lo * e_hi + (m_lo * e_lo >> shift)
+        u = m_hi * e_lo + (t & low)
+        high = m_hi * e_hi + (t >> shift) + (u >> shift)
+        # (c0, c1, c2, c3) -> (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+        #                      hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
+        even, odd = high[::-1] ^ odd ^ key, (mult * even)[::-1]
+    block = np.stack((even, odd), axis=2).transpose(1, 0, 2)
+    return block.reshape(-1, 4).astype("<u8").view("<u4")
+
+
 class ReplicaStreams:
     """The `seeded_rng` streams of a block of replica ids, from one Philox.
 
@@ -89,10 +158,16 @@ class ReplicaStreams:
     instead of one generator per replica. The generator is made at the
     first `rng` call, and each call invalidates the stream the last one
     returned.
+
+    `draws(i)` gives replica i's bounded draws without a generator: the
+    first eight words of every replica's stream come from one vectorized
+    Philox pass (`philox_first_block`, made at the first draw of any
+    replica), and later words from `rng(i)`.
     """
 
     def __init__(self, seeds):
         self.keys = replica_keys(seeds)
+        self._words: np.ndarray | None = None
         self._generator: np.random.Generator | None = None
         self._state = {"bit_generator": "Philox",
                        "state": {"counter": np.zeros(4, np.uint64),
@@ -106,6 +181,59 @@ class ReplicaStreams:
         self._state["state"]["key"] = self.keys[i]
         self._generator.bit_generator.state = self._state
         return self._generator
+
+    def draws(self, i: int) -> "ReplicaDraws":
+        return ReplicaDraws(self, i)
+
+    def words(self, i: int, count: int) -> list[int]:
+        """The first `count` 32-bit words of replica i's stream; `count` is
+        even, and 8 (one Philox block) needs no generator."""
+        if count == 8:
+            if self._words is None:
+                self._words = philox_first_block(self.keys)
+            return self._words[i].tolist()
+        raw = self.rng(i).bit_generator.random_raw(count // 2)
+        return raw.astype("<u8").view("<u4").tolist()
+
+
+class ReplicaDraws:
+    """`integers(k)` of replica i's stream, draw for draw as
+    `seeded_rng(seeds[i]).integers(k)` gives it, for 2 <= k < 2^32.
+
+    numpy draws that bound with Lemire's multiply-and-reject method
+    (ACM TOMACS 2019): m = u * k for the next 32-bit word u, drawn again
+    while m's low word is below (2^32 - k) mod k, and the draw is m >> 32.
+    Words come from the stream's first block, then from `rng(i)`: each
+    refill resets it and takes at least twice the words held, so the draws
+    never depend on another replica's use of the generator.
+    """
+
+    __slots__ = ("_streams", "_i", "_words", "_pos")
+
+    def __init__(self, streams: ReplicaStreams, i: int):
+        self._streams = streams
+        self._i = i
+        self._words: list[int] = []
+        self._pos = 0
+
+    def _next_word(self) -> int:
+        pos = self._pos
+        if pos == len(self._words):
+            count = max(_REFILL_WORDS, 2 * pos) if pos else 8
+            self._words = self._streams.words(self._i, count)
+        self._pos = pos + 1
+        return self._words[pos]
+
+    def integers(self, k: int) -> int:
+        if not 2 <= k < _WORD:
+            raise ValueError(f"bound must lie in 2 .. 2**32 - 1, got {k}")
+        m = self._next_word() * k
+        # k bounds the threshold, so most draws skip its modulo
+        if m & _MASK32 < k:
+            threshold = (_WORD - k) % k
+            while m & _MASK32 < threshold:
+                m = self._next_word() * k
+        return m >> 32
 
 
 def gen_random_instance(m_rows: int, n_cols: int, deg_min: int, deg_max: int,

@@ -3,6 +3,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bglab.cover as cover
 import bglab.experiments as experiments
@@ -13,10 +15,10 @@ from bglab.experiments import (BkvRegistry, DistributionSummary, Stats,
                                summary_rows)
 from bglab.generators import (ReplicaStreams, gen_random_instance,
                               permute_columns, seeded_rng)
-from bglab.instances import parse_cnf
+from bglab.instances import UNIT, WEIGHTED, BigraphInstance, parse_cnf
 from bglab.library import chvatal_6_5, school_5_5_ref, school_9_11, two_optima
 
-from conftest import random_instance
+from conftest import WEIGHT_POOL, random_instance
 
 TINY = parse_cnf("p cnf 1 1\n1 0\n")
 
@@ -365,9 +367,90 @@ def test_untied_replicas_make_no_generator(monkeypatch):
         summary = run_cover_distribution(chvatal_6_5(), 2000, "stoc", mode)
         assert sum(summary.value_histogram.values()) == 2000
     assert calls == []
-    # school_9_11 ties at its first pick: one stream per replica, no more
+    # school_9_11 ties at its first pick, and every replica's tie-breaks
+    # fit in the first 8 words of its stream, which the block's keystream
+    # holds: no replica resets or builds a generator
     run_cover_distribution(school_9_11(), 500, "stoc", "consecutive")
-    assert calls == list(range(500))
+    assert calls == []
+
+
+def _second_block_replicas(inst, seeds) -> list[int]:
+    """Replica ids whose `greedy_stoc` run draws more than the 8 words of
+    their stream's first Philox block."""
+    made = {}
+
+    def rng(seed):
+        made[seed] = seeded_rng(seed)
+        return made[seed]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cover, "seeded_rng", rng)
+        for rid in seeds:
+            cover.greedy_stoc(inst, rid)
+    # numpy's Philox makes its second block at counter 2
+    return [rid for rid, gen in made.items()
+            if gen.bit_generator.state["state"]["counter"][0] >= 2]
+
+
+def test_long_replicas_reset_only_their_generator(monkeypatch):
+    inst = gen_random_instance(30, 20, 1, 3, seed=6)
+    seeds = range(1, 301)
+    long = _second_block_replicas(inst, seeds)
+    assert 50 < len(long) < 250
+    expected = Counter(cover.greedy_stoc(inst, rid).value for rid in seeds)
+    assert len(expected) > 2
+    calls = _count_generators(monkeypatch)
+    summary = run_cover_distribution(inst, len(seeds), "stoc")
+    assert summary.value_histogram == expected
+    assert sorted(set(calls)) == [rid - 1 for rid in long]
+    # late tie-breaks of a unit instance seldom move the value, so compare
+    # each long replica's cover with its own generator's
+    streams, engine = ReplicaStreams(seeds), cover._Engine(inst)
+    for rid in long:
+        coord, _ = engine.run(streams.draws(rid - 1))
+        assert tuple(coord) == cover.greedy_stoc(inst, rid).coord, rid
+
+
+@st.composite
+def cover_instances(draw):
+    """A unate instance of 1-10 columns and 1-12 rows of 1-3 columns each;
+    unit instances tie often enough that many replicas draw past their
+    first 8 words."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 12))
+    rows = tuple(tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1,
+                                           max_size=3))))
+                 for _ in range(m))
+    if draw(st.booleans()):
+        weights = tuple(draw(st.lists(st.sampled_from(WEIGHT_POOL),
+                                      min_size=n, max_size=n)))
+        kind = WEIGHTED
+    else:
+        weights, kind = (1.0,) * n, UNIT
+    return BigraphInstance(name="drawn", n_cols=n, m_rows=m, rows=rows,
+                           col_weights=weights, weight_kind=kind)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cover_instances(), st.integers(1, 40), st.sampled_from([0.0, 1e-9]),
+       st.sampled_from(["consecutive", "random"]), st.integers(0, 999),
+       st.booleans())
+def test_distribution_equals_single_replicas(inst, num_seeds, tol, mode,
+                                             meta_seed, vectorized):
+    # the keystream draws what greedy_stoc's own generator draws
+    if mode == "consecutive":
+        seeds = range(1, num_seeds + 1)
+    else:
+        seeds = seeded_rng(meta_seed).integers(0, 10**6,
+                                               size=num_seeds).tolist()
+    with pytest.MonkeyPatch.context() as patch:
+        if vectorized:
+            patch.setattr(cover, "_SMALL_COLS", 0)
+        summary = run_cover_distribution(inst, num_seeds, "stoc", mode,
+                                         meta_seed=meta_seed, tie_tol=tol)
+        expected = Counter(cover.greedy_stoc(inst, rid, tol).value
+                           for rid in seeds)
+    assert summary.value_histogram == expected
 
 
 # meta seed 143's second random-mode draw is replica id 0

@@ -7,8 +7,9 @@ import pytest
 from bglab.cover import brute_force_cover, greedy_basic
 from bglab.generators import (ReplicaStreams, gen_isomorph, gen_movielib,
                               gen_random_instance, isomorph_permutation,
-                              permute_columns, read_movielib, replica_keys,
-                              seeded_rng, urn_trial, write_movielib)
+                              permute_columns, philox_first_block,
+                              read_movielib, replica_keys, seeded_rng,
+                              urn_trial, write_movielib)
 from bglab.instances import (UnateRequiredError, compute_stats, parse_cnf,
                              write_cnf)
 from bglab.library import SCHOOL_5_5_ISO_PERM, school_5_5_ref
@@ -66,6 +67,71 @@ def test_isomorph_permutation_from_given_stream():
         isomorph_permutation(12, 5)
     # replica 0 stays the natural order, whatever stream comes with it
     assert isomorph_permutation(4, 0, streams.rng(1)) == (1, 2, 3, 4)
+
+
+def _raw_words(seed: int, count: int) -> list[int]:
+    """First `count` 32-bit words of `seeded_rng(seed)`, low half of each
+    64-bit output first."""
+    raw = np.random.Philox(seed).random_raw(count // 2)
+    return raw.astype("<u8").view("<u4").tolist()
+
+
+def test_first_block_equals_philox():
+    block = philox_first_block(replica_keys(KEY_SEEDS))
+    assert block.shape == (len(KEY_SEEDS), 8)
+    assert block.dtype == np.uint32
+    for s, row in zip(KEY_SEEDS, block):
+        assert row.tolist() == _raw_words(s, 8), s
+    seeds = range(10_000)
+    block = philox_first_block(replica_keys(seeds))
+    assert all(block[s].tolist() == _raw_words(s, 8)
+               for s in range(0, 10_000, 7))
+    assert philox_first_block(replica_keys([])).shape == (0, 8)
+
+
+DRAW_BOUNDS = list(range(2, 201)) + [2**31 + 1, 2**32 - 1]
+
+
+def test_replica_draws_equal_seeded_rng():
+    seeds = [1, 7, 0, 2**40 + 3, 999_999, 2**64 - 1]
+    streams = ReplicaStreams(seeds)
+    draws = [streams.draws(i) for i in range(len(seeds))]
+    refs = [seeded_rng(s) for s in seeds]
+    # interleaved replicas, each well past its first block of 8 words
+    for k in DRAW_BOUNDS:
+        for draw, ref in zip(draws, refs):
+            assert draw.integers(k) == int(ref.integers(k)), k
+    assert all(type(draw.integers(5)) is int for draw in draws)
+
+
+def test_replica_draws_reject_low_words():
+    class Crafted(ReplicaStreams):
+        def words(self, i, count):
+            return [0, 0, 7, 0, 2, 3, 1, 1][:count]
+
+    draw = Crafted([1]).draws(0)
+    # 0 * 3 leaves the low word 0, below (2^32 - 3) % 3 = 1: the words 0
+    # are rejected and 7 gives 21 >> 32
+    assert draw.integers(3) == 0 and draw._pos == 3
+    # k = 2^31 + 1 rejects a low word below 2^31 - 1: 0 * k and 2 * k = 2
+    # (mod 2^32) are rejected, 3 * k = 2^32 + 2^31 + 3 gives 1
+    assert draw.integers(2**31 + 1) == 1 and draw._pos == 6
+    # that bound rejects about half of all words, so real streams take the
+    # branch too; numpy's draws agree
+    rejected = 0
+    streams = ReplicaStreams(range(1, 41))
+    for i, seed in enumerate(range(1, 41)):
+        draw = streams.draws(i)
+        assert draw.integers(2**31 + 1) == \
+            int(seeded_rng(seed).integers(2**31 + 1))
+        rejected += draw._pos > 1
+    assert 5 < rejected < 35
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, 2**32, 2**40])
+def test_replica_draws_reject_bad_bounds(k):
+    with pytest.raises(ValueError):
+        ReplicaStreams([3]).draws(0).integers(k)
 
 
 def test_gen_random_deterministic():
