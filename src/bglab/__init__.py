@@ -18,10 +18,11 @@ from .experiments import (BkvRegistry, DistributionSummary, Stats,
                           converge_check, default_registry, ratio_bucket_report,
                           ratio_stats, ratio_string, run_cover_distribution,
                           stats_string, summary_rows)
-from .generators import (ColumnPermutation, MovieRecord, WatchRecord,
-                         gen_isomorph, gen_movielib, gen_random_instance,
-                         isomorph_permutation, permute_columns, read_movielib,
-                         seeded_rng, urn_trial, write_movielib)
+from .generators import (ColumnPermutation, MovieRecord, MovieTable,
+                         WatchRecord, WatchTable, gen_isomorph, gen_movielib,
+                         gen_random_instance, isomorph_permutation,
+                         permute_columns, read_movielib, seeded_rng,
+                         urn_trial, write_movielib)
 from .instances import (BigraphInstance, InstanceStats, ParseError,
                         UnateRequiredError, compute_stats, ingest_orlib,
                         parse_cnf, to_incidence_matrix, write_cnf)

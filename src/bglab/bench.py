@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Any, Callable
 
-from .generators import (MovieRecord, WatchRecord, gen_movielib,
+from .generators import (MovieTable, WatchTable, gen_movielib,
                          gen_random_instance, read_movielib, seeded_rng,
                          write_movielib)
 from .matching import max_matching
@@ -72,17 +72,18 @@ class SweepResult:
     failures: dict[int, str]
 
 
-def watch_counts(watches: list[WatchRecord],
-                 strategy: str = "hash") -> dict[str, int]:
+def watch_counts(watches, strategy: str = "hash") -> dict[str, int]:
     """Watch count per movie id, by hash map or by sorted-table run lengths.
 
-    Both strategies return identical counts; they exist so the asymptotic
-    cost of the aggregation structure itself can be compared.
+    `watches` is a `WatchTable` or an iterable of `WatchRecord`s. Both
+    strategies return identical counts; they exist so the asymptotic cost
+    of the aggregation structure itself can be compared.
     """
+    movie_ids = WatchTable.of(watches).movie_id
     if strategy == "hash":
-        return dict(Counter(w.movie_id for w in watches))
+        return dict(Counter(movie_ids))
     if strategy == "sorted":
-        ids = sorted(w.movie_id for w in watches)
+        ids = sorted(movie_ids)
         counts: dict[str, int] = {}
         i = 0
         while i < len(ids):
@@ -102,20 +103,26 @@ def select_topk(counts: dict[str, int], k: int) -> TopKResult:
     return TopKResult(entries=tuple(top))
 
 
-def topk_movies(movies: list[MovieRecord], watches: list[WatchRecord],
-                k: int, strategy: str = "hash") -> TopKResult:
-    """The k most-watched movies; never-watched movies are excluded."""
-    known = {m.movie_id for m in movies}
-    for w in watches:
-        if w.movie_id not in known:
-            raise ValueError(f"watch {w.watch_id} references unknown movie "
-                             f"{w.movie_id}")
+def topk_movies(movies, watches, k: int,
+                strategy: str = "hash") -> TopKResult:
+    """The k most-watched movies; never-watched movies are excluded.
+
+    Both tables are tables or iterables of records, as `gen_movielib`
+    and `read_movielib` give them.
+    """
+    movies, watches = MovieTable.of(movies), WatchTable.of(watches)
+    known = set(movies.movie_id)
+    if not known.issuperset(watches.movie_id):
+        w = next(w for w, movie_id in enumerate(watches.movie_id)
+                 if movie_id not in known)
+        raise ValueError(f"watch {watches.watch_id[w]} references unknown "
+                         f"movie {watches.movie_id[w]}")
     return select_topk(watch_counts(watches, strategy), k)
 
 
-def watch_histogram(watches: list[WatchRecord]) -> dict[int, int]:
+def watch_histogram(watches) -> dict[int, int]:
     """Map watch count -> number of movies watched exactly that often."""
-    per_movie = Counter(w.movie_id for w in watches)
+    per_movie = Counter(WatchTable.of(watches).movie_id)
     hist = Counter(per_movie.values())
     return dict(hist)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import datetime
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,19 +38,47 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _hashmix(init: int, mult: int):
-    """SeedSequence's hashmix over uint32 arrays; each call advances the
-    hash constant, which starts at `init`, by one factor of `mult`."""
-    const = init
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
+    """The first `count + 1` values of a SeedSequence hash constant; hash
+    call j xors its value with the j-th and multiplies it by the next."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> 16)
 
-    return hashmix
+def _key_schedule() -> np.ndarray:
+    """Every constant operand of `replica_keys`, one row of four per step
+    (one column per pool word), so each step reads a full (4, R) array.
+
+    A mixing stage hashes pool[src] once for every other word, with the
+    next three constants, and mixes the result into that word. The src
+    column of a stage is made an identity: it mixes in nothing (factors 1
+    and 0) and keeps no shifted bits (mask 0).
+    """
+    # one hash call per pool word, then one per (src, dst) pair
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+    b = _hash_constants(_INIT_B, _MULT_B, _POOL)
+    rows = [a[:_POOL], a[1:_POOL + 1]]
+    call = _POOL
+    for src in range(_POOL):
+        stage = []
+        for dst in range(_POOL):
+            if dst == src:
+                stage.append((0, 0, 1, 0, 0))
+            else:
+                stage.append((a[call], a[call + 1], _MIX_L, _MIX_R, _MASK32))
+                call += 1
+        rows += zip(*stage)
+    rows += [b[:_POOL], b[1:_POOL + 1], (16,) * _POOL]
+    return np.array(rows, np.uint32)
+
+
+_KEY_SCHEDULE = _key_schedule()
+# Seeds per pass of `replica_keys` and keys per pass of
+# `philox_first_block`; a pass holds about 20 arrays of 2 x 8 bytes per
+# key, and the key schedule 100 x 4 bytes per seed.
+_BLOCK_CHUNK = 1024
 
 
 def replica_keys(seeds) -> np.ndarray:
@@ -57,27 +87,46 @@ def replica_keys(seeds) -> np.ndarray:
     Row i equals `np.random.SeedSequence(seeds[i]).generate_state(2,
     np.uint64)`, the key `Philox(seeds[i])` uses, for 0 <= s < 2^64. Such a
     seed is at most two 32-bit words, which SeedSequence pads to its pool of
-    four with zeros, so one pass of uint32 array arithmetic hashes the whole
-    block; the hash constants do not depend on the data.
+    four with zeros, so uint32 array arithmetic over a (4, R) pool hashes a
+    block of seeds at once; the hash constants do not depend on the data.
+    Seeds are taken `_BLOCK_CHUNK` at a time, as in `philox_first_block`.
     """
     # checked on the Python ints: numpy 1.x wraps -1 to 2**64 - 1 silently
     if not all(0 <= seed < 1 << 64 for seed in seeds):
         raise ValueError("seeds must lie in 0 .. 2**64 - 1")
     s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
-    words = [(s & _MASK32).astype(np.uint32), (s >> 32).astype(np.uint32)]
-    words += [np.zeros_like(words[0])] * (_POOL - len(words))
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words]
+    keys = np.empty((len(s), 2), np.uint64)
+    consts = _KEY_SCHEDULE[:, :, None].repeat(min(len(s), _BLOCK_CHUNK),
+                                              axis=2)
+    for start in range(0, len(s), _BLOCK_CHUNK):
+        chunk = s[start:start + _BLOCK_CHUNK]
+        keys[start:start + len(chunk)] = _key_chunk(
+            chunk, consts[:, :, :len(chunk)])
+    return keys
+
+
+def _key_chunk(seeds: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """`replica_keys` of a chunk, with `_KEY_SCHEDULE` repeated over it.
+
+    Every constant operand is a full (4, R) array: numpy takes several
+    times longer to broadcast a scalar over a small block.
+    """
+    shift = consts[-1]
+    pool = np.zeros((_POOL, len(seeds)), np.uint32)
+    # each seed's low 32-bit word, then its high one
+    pool[:2] = seeds.astype("<u8").view("<u4").reshape(-1, 2).T
+    value = (pool ^ consts[0]) * consts[1]
+    pool = value ^ (value >> shift)
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                mixed = (pool[dst] * np.uint32(_MIX_L)
-                         - hashmix(pool[src]) * np.uint32(_MIX_R))
-                pool[dst] = mixed ^ (mixed >> 16)
-    output = _hashmix(_INIT_B, _MULT_B)
-    state = [output(value) for value in pool]
+        xor, mult, left, right, keep = consts[2 + 5 * src:7 + 5 * src]
+        hashed = (pool[src] ^ xor) * mult
+        hashed ^= hashed >> shift
+        mixed = pool * left - hashed * right
+        pool = mixed ^ (mixed >> shift & keep)
+    value = (pool ^ consts[-3]) * consts[-2]
+    state = value ^ (value >> shift)
     # two 32-bit words per 64-bit key word, low word first
-    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    return np.ascontiguousarray(state.T, "<u4").view("<u8")
 
 
 # Philox4x64-10 (Salmon et al., SC'11): the multipliers of counter words 0
@@ -85,9 +134,6 @@ def replica_keys(seeds) -> np.ndarray:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-# Keys per pass of `philox_first_block`; a pass holds about 20 arrays of
-# 2 x 8 bytes per key.
-_BLOCK_CHUNK = 1024
 _WORD = 1 << 32
 # Words a replica takes from its reset generator once it draws past its
 # first block: one refill holds what a replica on a 400 x 4000 OR-library
@@ -349,8 +395,105 @@ class WatchRecord(NamedTuple):
     minutes_watched: int
 
 
-def gen_movielib(size: int, seed: int
-                 ) -> tuple[list[MovieRecord], list[WatchRecord]]:
+MOVIE_HEADER = ("movieID", "title", "year", "runtimeMinutes")
+WATCH_HEADER = ("watchID", "movieID", "date", "minutesWatched")
+
+
+def _int_column(values, where: str) -> np.ndarray:
+    """int64 array of `int(v)` for every v; `where` names the source in the
+    error a value that is no integer, or lies outside int64, raises."""
+    try:
+        return np.fromiter(map(int, values), np.int64, len(values))
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+class _Table(Sequence):
+    """A read-only sequence of records held as one column per field:
+    strings in lists, integers in int64 arrays.
+
+    Indexing and iteration yield `RECORD`s with Python ints, so code
+    written for a list of records reads a table unchanged; the bulk paths
+    (generate, write, read, count) work on the columns. Fields and columns
+    share their names and order.
+    """
+
+    RECORD: type
+    HEADER: tuple[str, ...]
+    INTEGERS: frozenset[str]
+
+    @classmethod
+    def of(cls, rows):
+        """`rows` as it is if it is such a table, else the table of the
+        records (or equal tuples) it yields."""
+        if isinstance(rows, cls):
+            return rows
+        fields = cls.RECORD._fields
+        columns = list(zip(*rows)) or [()] * len(fields)
+        if len(columns) != len(fields):
+            raise ValueError(f"{cls.__name__} rows need the {len(fields)} "
+                             f"fields {fields}")
+        return cls(*(_int_column(col, f"{cls.__name__}.{name}")
+                     if name in cls.INTEGERS else list(col)
+                     for name, col in zip(fields, columns)))
+
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.RECORD._fields)
+
+    def _lists(self) -> list[list]:
+        """Every column as a list of Python objects."""
+        return [col.tolist() if isinstance(col, np.ndarray) else col
+                for col in self._columns()]
+
+    def __len__(self) -> int:
+        return len(self._columns()[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(*(col[index] for col in self._columns()))
+        return self.RECORD._make(
+            int(col[index]) if isinstance(col, np.ndarray) else col[index]
+            for col in self._columns())
+
+    def __iter__(self):
+        return map(self.RECORD._make, zip(*self._lists()))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray)
+                   else a == b
+                   for a, b in zip(self._columns(), other._columns()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(<{len(self)} rows>)"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class MovieTable(_Table):
+    movie_id: list[str]
+    title: list[str]
+    year: np.ndarray
+    runtime_minutes: np.ndarray
+
+    RECORD = MovieRecord
+    HEADER = MOVIE_HEADER
+    INTEGERS = frozenset({"year", "runtime_minutes"})
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class WatchTable(_Table):
+    watch_id: list[str]
+    movie_id: list[str]
+    date: list[str]
+    minutes_watched: np.ndarray
+
+    RECORD = WatchRecord
+    HEADER = WATCH_HEADER
+    INTEGERS = frozenset({"minutes_watched"})
+
+
+def gen_movielib(size: int, seed: int) -> tuple[MovieTable, WatchTable]:
     """Synthetic movie/watch tables of `size` records each.
 
     Movie ids are unique ("tt<k>"); each watch record references a movie
@@ -370,49 +513,62 @@ def gen_movielib(size: int, seed: int
     day_str = [(base_day + datetime.timedelta(days=d)).isoformat()
                for d in range(366)]
 
-    movies = [MovieRecord(f"tt{i + 1}", f"Movie {i + 1}",
-                          int(years[i]), int(runtimes[i]))
-              for i in range(size)]
-    watches = []
-    for i in range(size):
-        movie = movies[picks[i]]
-        minutes = 1 + int(minute_draws[i]) % movie.runtime_minutes
-        watches.append(WatchRecord(f"w{i + 1}", movie.movie_id,
-                                   day_str[days[i]], minutes))
+    numbers = range(1, size + 1)
+    movie_ids = [f"tt{i}" for i in numbers]
+    movies = MovieTable(movie_ids, [f"Movie {i}" for i in numbers],
+                        years, runtimes)
+    watches = WatchTable([f"w{i}" for i in numbers],
+                         list(map(movie_ids.__getitem__, picks.tolist())),
+                         list(map(day_str.__getitem__, days.tolist())),
+                         1 + minute_draws % runtimes[picks])
     return movies, watches
 
 
-MOVIE_HEADER = ("movieID", "title", "year", "runtimeMinutes")
-WATCH_HEADER = ("watchID", "movieID", "date", "minutesWatched")
+def write_movielib(movies, watches, movies_path: str,
+                   watches_path: str) -> None:
+    """Emit the two tables (tables or iterables of records) as
+    comma-separated text files with header rows."""
+    for table, path in ((MovieTable.of(movies), movies_path),
+                        (WatchTable.of(watches), watches_path)):
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(table.HEADER)
+            w.writerows(zip(*table._lists()))
 
 
-def write_movielib(movies: list[MovieRecord], watches: list[WatchRecord],
-                   movies_path: str, watches_path: str) -> None:
-    """Emit the two tables as comma-separated text files with header rows."""
-    with open(movies_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(MOVIE_HEADER)
-        w.writerows(movies)
-    with open(watches_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(WATCH_HEADER)
-        w.writerows(watches)
+def _read_table(path: str, cls: type[_Table]) -> _Table:
+    """One table from a file `write_movielib` made, read in one pass.
+
+    A row whose field count differs from the header's is rejected, with
+    its line number. Integer fields accept what `int()` accepts.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if tuple(header or ()) != cls.HEADER:
+            raise ValueError(f"{path}: bad header {header}")
+        # both tables have four fields
+        columns = ([], [], [], [])
+        add0, add1, add2, add3 = (col.append for col in columns)
+        for row in reader:
+            try:
+                field0, field1, field2, field3 = row
+            except ValueError:
+                raise ValueError(f"{path}: line {reader.line_num} has "
+                                 f"{len(row)} fields, the header "
+                                 f"{len(cls.HEADER)}") from None
+            add0(field0)
+            add1(field1)
+            add2(field2)
+            add3(field3)
+    return cls(*(_int_column(col, f"{path}: {title}")
+                 if name in cls.INTEGERS else col
+                 for name, title, col in zip(cls.RECORD._fields, cls.HEADER,
+                                             columns)))
 
 
 def read_movielib(movies_path: str, watches_path: str
-                  ) -> tuple[list[MovieRecord], list[WatchRecord]]:
-    with open(movies_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if tuple(header or ()) != MOVIE_HEADER:
-            raise ValueError(f"{movies_path}: bad header {header}")
-        movies = [MovieRecord(r[0], r[1], int(r[2]), int(r[3]))
-                  for r in reader]
-    with open(watches_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if tuple(header or ()) != WATCH_HEADER:
-            raise ValueError(f"{watches_path}: bad header {header}")
-        watches = [WatchRecord(r[0], r[1], r[2], int(r[3]))
-                   for r in reader]
-    return movies, watches
+                  ) -> tuple[MovieTable, WatchTable]:
+    """The two tables, from files as `write_movielib` writes them."""
+    return (_read_table(movies_path, MovieTable),
+            _read_table(watches_path, WatchTable))

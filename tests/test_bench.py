@@ -309,3 +309,28 @@ def test_select_topk_matches_full_sort_with_ties():
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     for k in (1, 5, 37, 199, 200, 500):
         assert select_topk(counts, k).entries == tuple(ordered[:k])
+
+
+@pytest.mark.parametrize("size,seed", [(1, 2), (40, 3), (3000, 6)])
+def test_tables_and_record_lists_agree(size, seed):
+    movies, watches = gen_movielib(size, seed)
+    movie_list, watch_list = list(movies), list(watches)
+    for strategy in ("hash", "sorted"):
+        counts = watch_counts(watches, strategy)
+        assert counts == watch_counts(watch_list, strategy)
+        assert counts == watch_counts(iter(watch_list), strategy)
+        for k in (1, 10):
+            assert (topk_movies(movies, watches, k, strategy)
+                    == topk_movies(movie_list, watch_list, k, strategy))
+    assert watch_histogram(watches) == watch_histogram(watch_list)
+    # both agree with a recount over the records
+    recount = {}
+    for w in watch_list:
+        recount[w.movie_id] = recount.get(w.movie_id, 0) + 1
+    assert watch_counts(watches) == recount
+
+
+def test_topk_unknown_movie_in_a_table():
+    movies, watches = gen_movielib(20, seed=4)
+    with pytest.raises(ValueError, match=r"watch w\d+ references unknown"):
+        topk_movies(movies[:1], watches, 3)

@@ -369,6 +369,26 @@ def test_movielib_topk_hist(capsys, tmp_path):
     assert sum(int(i) * int(c) for i, c in rows) == 300
 
 
+@pytest.mark.parametrize("command", ["topk", "hist"])
+@pytest.mark.parametrize("fields", [3, 5])
+def test_ragged_watch_row_exits_2(capsys, tmp_path, command, fields):
+    movies = str(tmp_path / "movies.csv")
+    watches = tmp_path / "watches.csv"
+    rc, _, _ = run(capsys, "movielib", "--size", "5", "--seed", "1",
+                   "--movies", movies, "--watches", str(watches))
+    assert rc == 0
+    lines = watches.read_text().splitlines()
+    row = lines[3].split(",")
+    lines[3] = ",".join(row[:3] if fields == 3 else row + ["7"])
+    watches.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, command, "--movies", movies,
+                       "--watches", str(watches))
+    assert rc == 2
+    assert out == ""
+    assert f"watches.csv: line 4 has {fields} fields" in err
+    assert "Traceback" not in err
+
+
 def test_topk_needs_input(capsys):
     rc, _, err = run(capsys, "topk")
     assert rc == 2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from bglab.cover import brute_force_cover, greedy_basic
-from bglab.generators import (ReplicaStreams, gen_isomorph, gen_movielib,
+from bglab.generators import (MovieTable, ReplicaStreams, WatchRecord,
+                              WatchTable, gen_isomorph, gen_movielib,
                               gen_random_instance, isomorph_permutation,
                               permute_columns, philox_first_block,
                               read_movielib, replica_keys, seeded_rng,
@@ -319,3 +321,128 @@ def test_movielib_file_roundtrip(tmp_path):
     again_m, again_w = read_movielib(mp, wp)
     assert again_m == movies
     assert again_w == watches
+
+
+# sha256 of the two files `write_movielib` makes, and of
+# repr(list(records)) of the generated movie and watch tables, as the
+# record-list implementation produced them: (seed, size, movies file,
+# watches file, movie records, watch records).
+MOVIELIB_DIGESTS = [
+    (3, 1,
+     "b18798041bffa5fc533b43e3cc6722012fb9f207050d0075b7e1d94524d45bfa",
+     "99a457199c40491df3a1b14b4b102457a2d9d269b2a1df04fb8be2f27a5969cf",
+     "726563ecb30d2ab96942ba0d393a46213a1593d885393db4c2009ffc3973ed66",
+     "d714237fd139e2e9b3be93b1b8737420c983323ac6a7fadbf3c15efe3c32b16e"),
+    (3, 40,
+     "1c06f9850624b7fdeafd40dfa29b3d8d2e50c9b9e829d9c46b9cef91af76c6a4",
+     "06dbcb5ac4c9a5f6784e8e16028208684f61daee13c42378dfaba557906c1821",
+     "34cfd72416135eee560791f4437613583c52c4f14fab2efeeec1c8fb6342424f",
+     "c34eceb537af8511f51a096adb9f88a4f479693cac82fe921220fb2b6678a5a3"),
+    (3, 4096,
+     "537d5dd30b2999b86f93cefef3ec76f18810659c754456a1850c3d4006f881cc",
+     "8d1fca9d6107a905b352e4f6bf7bf46fef74d8300e843ade87406f20cd5d11da",
+     "a9743327a9e09be34d079ae7c597c860a10060669b77b3a01915d8feabef2187",
+     "eb3de488a32807d7db68fbb69ee1acde406890c59137637754d635778816da33"),
+    (11, 1,
+     "87b1ae9a4eba55112404d5ed4943b845997060bb61138285fc025a6594f34792",
+     "48e049d222e407a33cc2972f3670d8aa88e600295973d437bd1956f2c8592662",
+     "f5f256adc4d290a5554f19a182f628074af58059c946070235bc31f1a46af526",
+     "f040f292ed5696f6fa5d2a6389c05433f94c5805fb0f5e04f69ba55cbec73e88"),
+    (11, 40,
+     "e017bf62584b91b83a70449e56f546cea869a22e48ff0d392000e2421238c6dd",
+     "dfa1d5a5b9e1588d43c1aae0a4c927f29b8d05026c118fc8f6bc1c634660bf80",
+     "cbbab4512b93ca9b150310a8d153454042065cc1e6ba848f4b9f2c42dc0ca441",
+     "bd889e006869183cfce1fc03ced8b87fa4b531f1c43f5f87717344f506a0c084"),
+    (11, 4096,
+     "4bb6e64c72e6916ffc0e437ee0f92fa2f66ca496f4d7c01ee6d50b2d1c0542d0",
+     "c69f471e934497870aff2f0149dfd809fd9339a2c73679316e03039ebab363a5",
+     "2484022b0a2f0d60e1975bce32d5ebc29579d61656f22aeed5782cfee52ce7cf",
+     "b5e0c2b4777ff9fcab56a66c4081761d17ba07263290f93884ffde55d6f9faa4"),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("seed,size,movies_file,watches_file,movie_recs,"
+                         "watch_recs", MOVIELIB_DIGESTS)
+def test_movielib_pinned_bytes_and_records(tmp_path, seed, size, movies_file,
+                                           watches_file, movie_recs,
+                                           watch_recs):
+    movies, watches = gen_movielib(size, seed)
+    assert isinstance(movies, MovieTable) and isinstance(watches, WatchTable)
+    # the records carry Python ints, so their repr is the NamedTuples'
+    assert _sha256(repr(list(movies)).encode()) == movie_recs
+    assert _sha256(repr(list(watches)).encode()) == watch_recs
+    mp, wp = tmp_path / "movies.csv", tmp_path / "watches.csv"
+    write_movielib(movies, watches, str(mp), str(wp))
+    assert _sha256(mp.read_bytes()) == movies_file
+    assert _sha256(wp.read_bytes()) == watches_file
+    # a list of the same records writes the same bytes
+    write_movielib(list(movies), list(watches), str(mp), str(wp))
+    assert _sha256(mp.read_bytes()) == movies_file
+    assert _sha256(wp.read_bytes()) == watches_file
+    assert read_movielib(str(mp), str(wp)) == (movies, watches)
+
+
+def test_movie_tables_are_sequences_of_records():
+    movies, watches = gen_movielib(50, seed=8)
+    records = list(watches)
+    assert len(watches) == 50
+    assert all(type(r) is WatchRecord for r in records)
+    assert watches[0] == records[0] and watches[-1] == records[-1]
+    assert type(watches[3].minutes_watched) is int
+    assert list(watches[10:20]) == records[10:20]
+    assert isinstance(watches[10:20], WatchTable)
+    with pytest.raises(IndexError):
+        watches[50]
+    assert records[7] in watches
+    # `of` keeps a table and rebuilds one from its records
+    assert WatchTable.of(watches) is watches
+    assert WatchTable.of(records) == watches
+    assert WatchTable.of(iter(records)) == watches
+    assert MovieTable.of(list(movies)) == movies
+    assert WatchTable.of([]) == WatchTable([], [], [], np.zeros(0, np.int64))
+    assert len(WatchTable.of([])) == 0
+    # equality is by value and kind, never elementwise
+    assert movies != watches
+    assert watches != records
+    assert watches != WatchTable.of(records[:-1] + [records[-1]._replace(
+        minutes_watched=records[-1].minutes_watched + 1)])
+    assert "50 rows" in repr(watches)
+    with pytest.raises(TypeError):
+        hash(watches)
+    with pytest.raises(ValueError, match="fields"):
+        WatchTable.of([("w1", "tt1", "2020-01-01")])
+
+
+@pytest.mark.parametrize("line,fields", [("w2,tt1,2020-01-02", 3),
+                                         ("w2,tt1,2020-01-02,5,9", 5),
+                                         ("", 0)])
+def test_read_movielib_rejects_ragged_rows(tmp_path, line, fields):
+    movies, watches = gen_movielib(3, seed=1)
+    mp, wp = tmp_path / "movies.csv", tmp_path / "watches.csv"
+    write_movielib(movies, watches, str(mp), str(wp))
+    text = wp.read_text().splitlines()
+    text[2] = line
+    wp.write_text("\n".join(text) + "\n")
+    with pytest.raises(ValueError,
+                       match=rf"watches\.csv: line 3 has {fields} fields"):
+        read_movielib(str(mp), str(wp))
+
+
+def test_read_movielib_rejects_bad_integers(tmp_path):
+    movies, watches = gen_movielib(3, seed=1)
+    mp, wp = tmp_path / "movies.csv", tmp_path / "watches.csv"
+    write_movielib(movies, watches, str(mp), str(wp))
+    good = mp.read_text()
+    for bad in ("ninety", "1" + "0" * 20):
+        mp.write_text(good.replace(f",{movies[1].runtime_minutes}\n",
+                                   f",{bad}\n", 1))
+        with pytest.raises(ValueError, match=r"movies\.csv: runtimeMinutes"):
+            read_movielib(str(mp), str(wp))
+    # what int() accepts is read as before
+    mp.write_text(good.replace(f",{movies[1].year},", f", +{movies[1].year},",
+                               1))
+    assert read_movielib(str(mp), str(wp))[0] == movies
