@@ -219,7 +219,8 @@ class _Engine:
             view.order = np.fromiter(perm, dtype=np.intp, count=self.n) - 1
         return view
 
-    def run(self, rng, tie_tol: float = 0.0) -> tuple[list[int], int]:
+    def run(self, rng, tie_tol: float = 0.0,
+            rank: list[int] | None = None) -> tuple[list[int], int]:
         """One greedy pass; returns (coord, n_ops).
 
         `rng` None selects the first minimum; otherwise selection is uniform
@@ -229,15 +230,20 @@ class _Engine:
         made only at a tie of two or more columns (`integers(1)` would
         consume no stream), and a function is called at the first such
         draw, so a run that never ties makes no generator.
+
+        `rank` (read on the bitmask path only) takes the columns in the
+        order a `permuted` view's rank gives, as `ReplicaStreams.ranks`
+        yields it, without making the view; a view passes its own.
         """
         if self.small:
-            return self._run_small(rng, tie_tol)
+            return self._run_small(rng, tie_tol,
+                                   self.rank if rank is None else rank)
         return self._run_vectorized(rng, tie_tol)
 
-    def _run_small(self, rng, tie_tol: float) -> tuple[list[int], int]:
+    def _run_small(self, rng, tie_tol: float,
+                   rank: list[int] | None) -> tuple[list[int], int]:
         masks = self.col_masks
         memo = self.tie_memo
-        rank = self.rank
         full = self.full
         cov = 0
         coord = [0] * self.n
@@ -252,13 +258,14 @@ class _Engine:
                     memo[cov, tie_tol] = ties
             j = ties[0]
             if len(ties) > 1:
-                # ties come in reference order; a view takes them in its own
-                if rank is not None:
-                    ties = sorted(ties, key=rank.__getitem__)
-                    j = ties[0]
+                # ties come in reference order; a rank takes them in its own
                 if rng is not None:
+                    if rank is not None:
+                        ties = sorted(ties, key=rank.__getitem__)
                     rng = _generator(rng)
                     j = ties[int(rng.integers(len(ties)))]
+                elif rank is not None:
+                    j = min(ties, key=rank.__getitem__)
             cov |= masks[j]
             coord[j] = 1
             n_ops += 1

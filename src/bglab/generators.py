@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,8 +76,9 @@ def _key_schedule() -> np.ndarray:
 
 _KEY_SCHEDULE = _key_schedule()
 # Seeds per pass of `replica_keys` and keys per pass of
-# `philox_first_block`; a pass holds about 20 arrays of 2 x 8 bytes per
-# key, and the key schedule 100 x 4 bytes per seed.
+# `philox_first_block` and `ReplicaStreams.ranks`; a Philox pass holds about
+# 20 arrays of 2 x 8 bytes per key, and the key schedule 100 x 4 bytes per
+# seed.
 _BLOCK_CHUNK = 1024
 
 
@@ -157,12 +158,14 @@ def philox_first_block(keys: np.ndarray) -> np.ndarray:
     block = np.empty((len(keys), 8), np.uint32)
     for start in range(0, len(keys), _BLOCK_CHUNK):
         stop = start + _BLOCK_CHUNK
-        block[start:stop] = _philox_chunk(keys[start:stop])
+        block[start:stop] = _philox(keys[start:stop], 1)
     return block
 
 
-def _philox_chunk(keys: np.ndarray) -> np.ndarray:
-    """`philox_first_block` of at most `_BLOCK_CHUNK` keys.
+def _philox(keys: np.ndarray, counter: int) -> np.ndarray:
+    """Philox4x64-10 of each key at counter (counter, 0, 0, 0), as eight
+    32-bit words per key: the block a fresh stream makes after
+    `counter - 1` others.
 
     The counter is held as two (2, R) arrays, its even words (0, 2) and its
     odd words (1, 3), so each round multiplies both even words at once.
@@ -177,7 +180,7 @@ def _philox_chunk(keys: np.ndarray) -> np.ndarray:
     m_hi, m_lo = mult >> shift, mult & low
     key = keys.T.copy()
     even = np.zeros_like(key)
-    even[0] = 1
+    even[0] = counter
     odd = np.zeros_like(key)
     for r in range(_PHILOX_ROUNDS):
         if r:
@@ -195,6 +198,52 @@ def _philox_chunk(keys: np.ndarray) -> np.ndarray:
     return block.reshape(-1, 4).astype("<u8").view("<u4")
 
 
+def _perm_words(n: int) -> int:
+    """Words of each stream a block's `permutation(n)` pass computes: whole
+    Philox blocks of at least 2 (n - 1) words. A step draws 1 to 2 words on
+    average, so at n <= 16 at most about 1.5% of replicas (n = 5) draw more
+    and take the generator instead."""
+    return -(-2 * (n - 1) // 8) * 8
+
+
+def _fisher_yates(words: np.ndarray, n: int) -> tuple[np.ndarray,
+                                                      np.ndarray]:
+    """`permutation(n)` of every row's stream of 32-bit words, draw for draw
+    as numpy makes it, and which rows needed more words than they hold.
+
+    numpy shuffles `arange(n)` with Durstenfeld's Fisher-Yates (CACM 1964,
+    Algorithm 235): step i, from n - 1 down to 1, swaps entries i and j for
+    a j its `random_interval(i)` draws, which takes the next word masked to
+    the bits of i and draws again while the result exceeds i. Every row
+    keeps its own word position. A row past its words reads zeros from a
+    pad of n - 1 words: its first such read marks it short, and since a
+    zero is never drawn again it reads at most one pad word per step.
+    """
+    r, held = words.shape
+    stride = held + n - 1
+    flat = np.zeros((r, stride), np.uint32)
+    flat[:, :held] = words
+    flat = flat.reshape(-1)
+    rows = np.arange(r)
+    pos = rows * stride
+    perm = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (r, 1))
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = flat[pos] & mask
+        pos += 1
+        redo = np.flatnonzero(j > i)
+        while redo.size:
+            at = pos[redo]
+            again = flat[at] & mask
+            pos[redo] = at + 1
+            j[redo] = again
+            redo = redo[again > i]
+        top = perm[:, i].copy()
+        perm[:, i] = perm[rows, j]
+        perm[rows, j] = top
+    return perm, pos - rows * stride > held
+
+
 class ReplicaStreams:
     """The `seeded_rng` streams of a block of replica ids, from one Philox.
 
@@ -209,9 +258,14 @@ class ReplicaStreams:
     first eight words of every replica's stream come from one vectorized
     Philox pass (`philox_first_block`, made at the first draw of any
     replica), and later words from `rng(i)`.
+
+    `ranks(n)` gives every replica's column ranks of an `n`-column
+    isomorph without a generator, from one vectorized Fisher-Yates pass
+    over each chunk of replicas.
     """
 
     def __init__(self, seeds):
+        self.seeds = seeds
         self.keys = replica_keys(seeds)
         self._words: np.ndarray | None = None
         self._generator: np.random.Generator | None = None
@@ -230,6 +284,41 @@ class ReplicaStreams:
 
     def draws(self, i: int) -> "ReplicaDraws":
         return ReplicaDraws(self, i)
+
+    def ranks(self, n: int, _words: int | None = None
+              ) -> Iterator[list[int]]:
+        """Replica by replica, the rank list of `isomorph_permutation(n,
+        seeds[i])`: rank[c] is the 0-based position of column c + 1 in it,
+        so replica id 0 gets the identity.
+
+        The replicas' permutations are drawn `_BLOCK_CHUNK` at a time: the
+        first `_perm_words(n)` words of each stream (`_words`, a multiple
+        of 8, if given) come from one Philox pass over the chunk's keys per
+        block of 8, and `_fisher_yates` shuffles every row at once. A
+        replica that needs more words takes `rng(i).permutation(n)`.
+        """
+        words = _perm_words(n) if _words is None else _words
+        zeros = [i for i, seed in enumerate(self.seeds) if seed == 0]
+        for start in range(0, len(self.keys), _BLOCK_CHUNK):
+            keys = self.keys[start:start + _BLOCK_CHUNK]
+            # a pass per block holds the temporaries of one at a time
+            stream = np.empty((len(keys), words), np.uint32)
+            for block in range(words // 8):
+                stream[:, 8 * block:8 * block + 8] = _philox(keys, block + 1)
+            perm, short = _fisher_yates(stream, n)
+            rank = np.empty_like(perm)
+            np.put_along_axis(rank, perm, np.arange(n, dtype=rank.dtype),
+                              axis=1)
+            ranks = rank.tolist()
+            identity = [i - start for i in zeros
+                        if start <= i < start + len(keys)]
+            short[identity] = False
+            for i in np.flatnonzero(short).tolist():
+                ranks[i] = np.argsort(
+                    self.rng(start + i).permutation(n)).tolist()
+            for i in identity:
+                ranks[i] = list(range(n))
+            yield from ranks
 
     def words(self, i: int, count: int) -> list[int]:
         """The first `count` 32-bit words of replica i's stream; `count` is

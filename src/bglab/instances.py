@@ -18,6 +18,9 @@ import numpy as np
 
 UNIT = "unit"
 WEIGHTED = "weighted"
+# Most columns an instance can have: `column_csr` sorts literals on an
+# int32 column key above 2^16 columns.
+MAX_COLS = 2**31 - 1
 
 
 class ParseError(ValueError):
@@ -49,6 +52,7 @@ class BigraphInstance:
     weight_kind: str
 
     def __post_init__(self):
+        _check_cols(self.n_cols)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
         object.__setattr__(self, "col_weights",
                            tuple(float(w) for w in self.col_weights))
@@ -109,6 +113,13 @@ class BigraphInstance:
         """Number of rows each column appears in (binate literals count)."""
         _, flat = _signed_literals(self)
         return np.bincount(np.abs(flat) - 1, minlength=self.n_cols).tolist()
+
+
+def _check_cols(n_cols: int) -> None:
+    """Reject a column count above `MAX_COLS` before anything is sized by
+    it."""
+    if n_cols > MAX_COLS:
+        raise ValueError(f"{n_cols} columns exceed the limit of {MAX_COLS}")
 
 
 def _signed_literals(instance: BigraphInstance
@@ -289,6 +300,9 @@ def parse_cnf(text: str, name: str = "instance") -> BigraphInstance:
                 raise ParseError(line_no, "problem line counts must be integers")
             if n_cols < 1 or m_rows < 1:
                 raise ParseError(line_no, "counts must be positive")
+            if n_cols > MAX_COLS:
+                raise ParseError(line_no, f"{n_cols} columns exceed the "
+                                 f"limit of {MAX_COLS}")
             continue
         if tokens[0] == "w":
             if n_cols is None:
@@ -476,6 +490,7 @@ def ingest_orlib(text: str, name: str = "orlib",
     n_cols = header(1, "column count")
     if m_rows < 1 or n_cols < 1:
         raise ValueError("row and column counts must be positive")
+    _check_cols(n_cols)
     cost_toks = tokens[2:2 + n_cols]
     costs, bad = _convert(cost_toks, np.float64)
     invalid = np.flatnonzero(~((costs > 0) & (costs < math.inf)))

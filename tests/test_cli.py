@@ -104,6 +104,18 @@ def test_stats_unit_flag_still_rejects_bad_costs(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("name,text", [
+    ("wide.cnfU", "p cnf 10000000000 1\n1 0\n"),
+    ("wide.txt", "1 10000000000\n1\n1 1\n"),
+])
+def test_stats_too_many_columns_exits_2(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    rc, out, err = run(capsys, "stats", str(path))
+    assert rc == 2 and out == ""
+    assert "exceed the limit of 2147483647" in err
+
+
 def test_stats_missing_file_exits_2(capsys):
     rc, _, err = run(capsys, "stats", "/no/such/file.cnfU")
     assert rc == 2

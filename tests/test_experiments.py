@@ -14,7 +14,8 @@ from bglab.experiments import (BkvRegistry, DistributionSummary, Stats,
                                run_cover_distribution, stats_string,
                                summary_rows)
 from bglab.generators import (ReplicaStreams, gen_random_instance,
-                              permute_columns, seeded_rng)
+                              isomorph_permutation, permute_columns,
+                              seeded_rng)
 from bglab.instances import UNIT, WEIGHTED, BigraphInstance, parse_cnf
 from bglab.library import chvatal_6_5, school_5_5_ref, school_9_11, two_optima
 
@@ -44,6 +45,32 @@ def test_stats_five_numbers():
     assert Stats.from_values([1.0, 3.0]).sd == pytest.approx(2 ** 0.5)
     with pytest.raises(ValueError):
         Stats.from_values([])
+
+
+def _hex(stats: Stats) -> list[str]:
+    return [v.hex() for v in stats.as_tuple()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.floats(-1e300, 1e300), st.integers(1, 60),
+                       min_size=1, max_size=8), st.randoms())
+def test_stats_from_histogram_equal_from_values(histogram, rnd):
+    values = [v for v, c in histogram.items() for _ in range(c)]
+    rnd.shuffle(values)
+    assert _hex(Stats.from_histogram(histogram)) == \
+        _hex(Stats.from_values(values))
+
+
+def test_stats_from_histogram_edges():
+    assert _hex(Stats.from_histogram({2.5: 1})) == \
+        _hex(Stats(2.5, 2.5, 2.5, 0.0, 2.5))
+    # a subnormal spread, and one whose variance is no float's square
+    for hist in ({5e-324: 3, 0.0: 2}, {0.1: 7, 0.2: 3, 0.7: 1}):
+        values = [v for v, c in hist.items() for _ in range(c)]
+        assert _hex(Stats.from_histogram(hist)) == \
+            _hex(Stats.from_values(values))
+    with pytest.raises(ValueError):
+        Stats.from_histogram({})
 
 
 def test_ratio_stats_values():
@@ -453,8 +480,78 @@ def test_distribution_equals_single_replicas(inst, num_seeds, tol, mode,
     assert summary.value_histogram == expected
 
 
+def _iso_expected(inst, seeds, tol) -> Counter:
+    """The iso histogram of `greedy_basic` on each replica's isomorph.
+
+    Each cover is taken back to reference column order before its value is
+    summed: a weighted sum in the isomorph's column order can differ in
+    its last bit.
+    """
+    values = []
+    for rid in seeds:
+        perm = isomorph_permutation(inst.n_cols, rid)
+        coord = cover.greedy_basic(permute_columns(inst, perm), tol).coord
+        back = [0] * inst.n_cols
+        for idx, col in enumerate(perm):
+            back[col - 1] = coord[idx]
+        values.append(cover.cover_value(back, inst.col_weights))
+    return Counter(values)
+
+
+def _count_view_replicas(patch) -> list[int]:
+    """Replica ids whose permutation a distribution run draws one by one."""
+    calls = []
+    original = experiments.isomorph_permutation
+    patch.setattr(experiments, "isomorph_permutation",
+                  lambda n, rid, rng=None: calls.append(rid)
+                  or original(n, rid, rng))
+    return calls
+
+
+BLOCK_SEEDS = experiments._ISO_BLOCK_SEEDS
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(cover_instances(),
+       st.one_of(st.integers(1, 40),
+                 st.integers(BLOCK_SEEDS, BLOCK_SEEDS + 40)),
+       st.sampled_from([0.0, 1e-9]), st.sampled_from(["consecutive",
+                                                       "random"]),
+       st.integers(0, 999), st.booleans())
+def test_iso_distribution_equals_permute_then_basic(inst, num_seeds, tol,
+                                                    mode, meta_seed,
+                                                    vectorized):
+    if mode == "consecutive":
+        seeds = range(1, num_seeds + 1)
+    else:
+        seeds = seeded_rng(meta_seed).integers(0, 10**6,
+                                               size=num_seeds).tolist()
+    with pytest.MonkeyPatch.context() as patch:
+        if vectorized:
+            patch.setattr(cover, "_SMALL_COLS", 0)
+        views = _count_view_replicas(patch)
+        summary = run_cover_distribution(inst, num_seeds, "iso", mode,
+                                         meta_seed=meta_seed, tie_tol=tol)
+    assert summary.value_histogram == _iso_expected(inst, seeds, tol)
+    # large blocks on the bitmask path take their ranks from the keystream
+    block = num_seeds >= BLOCK_SEEDS and not vectorized
+    assert views == ([] if block else list(seeds))
+
+
 # meta seed 143's second random-mode draw is replica id 0
 ZERO_META_SEED = 143
+
+
+def test_block_iso_replica_zero_is_basic(monkeypatch):
+    seeds = seeded_rng(ZERO_META_SEED).integers(0, 10**6,
+                                                size=BLOCK_SEEDS).tolist()
+    assert seeds[1] == 0 and seeds.count(0) == 1
+    views = _count_view_replicas(monkeypatch)
+    for inst in (school_5_5_ref(), school_9_11()):
+        summary = run_cover_distribution(inst, BLOCK_SEEDS, "iso", "random",
+                                         meta_seed=ZERO_META_SEED)
+        assert summary.value_histogram == _iso_expected(inst, seeds, 0.0)
+    assert views == []
 
 
 @pytest.mark.parametrize("solver", ["stoc", "iso"])

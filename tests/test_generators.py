@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bglab.experiments as experiments
+import bglab.generators as generators
 from bglab.cover import brute_force_cover, greedy_basic
 from bglab.generators import (MovieTable, ReplicaStreams, WatchRecord,
                               WatchTable, gen_isomorph, gen_movielib,
@@ -89,6 +91,73 @@ def test_first_block_equals_philox():
     assert all(block[s].tolist() == _raw_words(s, 8)
                for s in range(0, 10_000, 7))
     assert philox_first_block(replica_keys([])).shape == (0, 8)
+
+
+def _perm_ranks(n: int, seed: int) -> list[int]:
+    """Rank list of `isomorph_permutation(n, seed)`: rank[c] is column
+    c + 1's 0-based position in it."""
+    perm = isomorph_permutation(n, seed)
+    rank = [0] * n
+    for idx, col in enumerate(perm):
+        rank[col - 1] = idx
+    return rank
+
+
+# every column count an iso distribution run takes from the keystream,
+# and one more; at 9 and 17 about half of the first draws are rejected
+RANK_COLS = range(1, experiments._ISO_BLOCK_COLS + 2)
+
+
+@pytest.mark.parametrize("n", RANK_COLS)
+def test_block_ranks_equal_permutation(n):
+    # random six-digit ids, replica 0 in both chunks of the block
+    seeds = seeded_rng(n).integers(0, 10**6, size=1100).tolist()
+    seeds[5] = seeds[1030] = 0
+    assert list(ReplicaStreams(seeds).ranks(n)) == \
+        [_perm_ranks(n, s) for s in seeds]
+
+
+def test_block_ranks_straddle_chunks():
+    chunk = generators._BLOCK_CHUNK
+    for count in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        seeds = range(1, count + 1)
+        ranks = list(ReplicaStreams(seeds).ranks(9))
+        assert len(ranks) == count
+        # each chunk's edges, where a shift by one replica would show
+        for i in {0, chunk - 1, chunk, count - 2, count - 1}:
+            if i < count:
+                assert ranks[i] == _perm_ranks(9, seeds[i]), (count, i)
+    assert list(ReplicaStreams([]).ranks(9)) == []
+    assert list(ReplicaStreams([0, 0]).ranks(4)) == [[0, 1, 2, 3]] * 2
+
+
+@pytest.mark.parametrize("words", [0, 8])
+def test_block_ranks_fall_back_when_words_run_out(monkeypatch, words):
+    seeds = [0] + list(range(1, 300))
+    resets = []
+    original = ReplicaStreams.rng
+
+    def rng(self, i):
+        resets.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(ReplicaStreams, "rng", rng)
+    ranks = list(ReplicaStreams(seeds).ranks(9, _words=words))
+    assert ranks == [_perm_ranks(9, s) for s in seeds]
+    # numpy's Philox makes its second block at counter 2, so a replica
+    # drew more than the eight words of its first exactly when its
+    # generator's counter passed 1; replica 0 draws nothing
+    longer = []
+    for i, seed in enumerate(seeds[1:], start=1):
+        rng = seeded_rng(seed)
+        rng.permutation(9)
+        if words == 0 or rng.bit_generator.state["state"]["counter"][0] > 1:
+            longer.append(i)
+    assert resets == longer
+    assert words == 0 or 150 < len(longer) < 290
+    resets.clear()
+    assert list(ReplicaStreams(seeds).ranks(9))[1:] == ranks[1:]
+    assert len(resets) < 10
 
 
 DRAW_BOUNDS = list(range(2, 201)) + [2**31 + 1, 2**32 - 1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -641,3 +642,25 @@ def test_repeats_by_row_then_column(wide):
     assert repeat.tolist() == [False, False, True, True, False, False,
                                False, False]
     assert order.tolist() == [1, 3, 0, 2, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("read", [
+    lambda: parse_cnf("p cnf 10000000000 1\n1 0\n"),
+    lambda: parse_cnf("p cnf 2147483648 1\n1 0\n"),
+    lambda: ingest_orlib("1 10000000000\n1\n1 1\n"),
+    lambda: BigraphInstance(name="wide", n_cols=2**31, m_rows=1,
+                            rows=((1,),), col_weights=(1.0,),
+                            weight_kind=UNIT),
+])
+def test_column_counts_past_the_cap_are_refused_before_allocation(read):
+    # a column count sizes the weights and the CSR, whose sort key is
+    # int32: the count is refused before anything is sized by it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceed the limit of "
+                                             "2147483647"):
+            read()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
