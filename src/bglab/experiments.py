@@ -80,7 +80,7 @@ class Stats:
         `statistics` sums exact fractions, which do not depend on order,
         so the sums over the histogram are the same; the sd is the
         correctly rounded square root of the exact variance, as
-        `statistics.stdev` takes it.
+        `statistics.stdev` takes it from Python 3.11 on.
         """
         if not histogram:
             raise ValueError("empty sample")
@@ -251,17 +251,20 @@ def ratio_stats(values, bkv: float) -> Stats:
     return Stats.from_values([v / bkv for v in values])
 
 
-# An iso distribution run takes its replicas' column ranks from the block
-# keystream (`ReplicaStreams.ranks`) on the bitmask path at most this many
-# columns and at least this many seeds; elsewhere each replica resets the
-# block's generator and runs a `permuted` view. Whole runs per replica on
-# one host (2 vCPUs of a shared Xeon, Python 3.11.7, numpy 2.4.6), view
-# time over keystream time at 5, 9 and 16 columns: 0.86-1.25 at 64 seeds,
-# 1.09-1.77 at 128, 1.43-2.07 at 256 and 1.71-2.94 at 10,000. A chunk's
-# numpy calls cost about as much as 100 views; at 50 columns the keystream
-# lost below 256 seeds (0.71 at 64) and won 1.2-1.3 from 512.
-_ISO_BLOCK_COLS = 16
-_ISO_BLOCK_SEEDS = 256
+# An iso distribution run of at least this many seeds on the bitmask path
+# takes its replicas' column ranks from the block keystream
+# (`ReplicaStreams.ranks`); a smaller one resets the block's generator for
+# each replica and runs a `permuted` view. On one host (2 vCPUs of a shared
+# Xeon, Python 3.11.7, numpy 2.4.6), whole runs' view time over keystream
+# time, best of 5, at 256 / 512 / 2,048 seeds: 1.47-1.55 / 1.65-1.89 /
+# 1.81-2.41 at 9 and 16 columns, 1.06 / 1.21 / 1.13 at 32, and 0.86-0.97 /
+# 1.03-1.08 / 1.02-1.53 from 48 to 128 columns. From 48 columns a
+# replica's greedy pass is most of its time and repeated runs scatter by
+# about 15%. The rank source alone, at 2,048 seeds, costs 2.2-7.7 us a
+# replica against 9.1-16.2 us for a reset and a view up to 32 columns,
+# 12.4-16.3 against 15.0-17.3 us at 50-96, and 27 against 21 us at 128:
+# under 3% of a 128-column replica.
+_ISO_BLOCK_SEEDS = 512
 
 
 def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
@@ -280,8 +283,8 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
     Every replica draws from the stream `seeded_rng(replica_id)` would give
     it, reached through one `ReplicaStreams` for the block: a stoc replica
     draws its tie-breaks from the block's keystream (`draws`), and only at
-    ties of two or more columns. An iso replica of a large block on few
-    columns takes its column ranks from the keystream (`ranks`) and runs
+    ties of two or more columns. An iso replica of a large block on the
+    bitmask path takes its column ranks from the keystream (`ranks`) and runs
     the engine with them; any other iso replica draws its permutation
     from a generator reset to its stream and runs a `permuted` view. A
     replica contributes only its value.
@@ -305,8 +308,7 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
     weights = instance.col_weights
     streams = ReplicaStreams(seeds)
     ranks = None
-    if (solver == "iso" and engine.small and engine.n <= _ISO_BLOCK_COLS
-            and num_seeds >= _ISO_BLOCK_SEEDS):
+    if solver == "iso" and engine.small and num_seeds >= _ISO_BLOCK_SEEDS:
         ranks = streams.ranks(engine.n)
     histogram: dict[float, int] = {}
     for i, rid in enumerate(seeds):

@@ -201,8 +201,8 @@ def _philox(keys: np.ndarray, counter: int) -> np.ndarray:
 def _perm_words(n: int) -> int:
     """Words of each stream a block's `permutation(n)` pass computes: whole
     Philox blocks of at least 2 (n - 1) words. A step draws 1 to 2 words on
-    average, so at n <= 16 at most about 1.5% of replicas (n = 5) draw more
-    and take the generator instead."""
+    average, so at most about 1.2% of replicas (n = 5; none of 4,096 from
+    n = 32 to 128) draw more and take the generator instead."""
     return -(-2 * (n - 1) // 8) * 8
 
 
@@ -285,20 +285,18 @@ class ReplicaStreams:
     def draws(self, i: int) -> "ReplicaDraws":
         return ReplicaDraws(self, i)
 
-    def ranks(self, n: int, _words: int | None = None
-              ) -> Iterator[list[int]]:
+    def ranks(self, n: int) -> Iterator[list[int]]:
         """Replica by replica, the rank list of `isomorph_permutation(n,
         seeds[i])`: rank[c] is the 0-based position of column c + 1 in it,
         so replica id 0 gets the identity.
 
         The replicas' permutations are drawn `_BLOCK_CHUNK` at a time: the
-        first `_perm_words(n)` words of each stream (`_words`, a multiple
-        of 8, if given) come from one Philox pass over the chunk's keys per
-        block of 8, and `_fisher_yates` shuffles every row at once. A
-        replica that needs more words takes `rng(i).permutation(n)`.
+        first `_perm_words(n)` words of each stream come from one Philox
+        pass over the chunk's keys per block of 8, and `_fisher_yates`
+        shuffles every row at once. A replica that needs more words takes
+        `rng(i).permutation(n)`.
         """
-        words = _perm_words(n) if _words is None else _words
-        zeros = [i for i, seed in enumerate(self.seeds) if seed == 0]
+        words = _perm_words(n)
         for start in range(0, len(self.keys), _BLOCK_CHUNK):
             keys = self.keys[start:start + _BLOCK_CHUNK]
             # a pass per block holds the temporaries of one at a time
@@ -310,8 +308,8 @@ class ReplicaStreams:
             np.put_along_axis(rank, perm, np.arange(n, dtype=rank.dtype),
                               axis=1)
             ranks = rank.tolist()
-            identity = [i - start for i in zeros
-                        if start <= i < start + len(keys)]
+            identity = [i for i, seed in enumerate(
+                self.seeds[start:start + _BLOCK_CHUNK]) if seed == 0]
             short[identity] = False
             for i in np.flatnonzero(short).tolist():
                 ranks[i] = np.argsort(

@@ -5,9 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import bglab.experiments as experiments
 import bglab.generators as generators
-from bglab.cover import brute_force_cover, greedy_basic
+from bglab.cover import _SMALL_COLS, brute_force_cover, greedy_basic
 from bglab.generators import (MovieTable, ReplicaStreams, WatchRecord,
                               WatchTable, gen_isomorph, gen_movielib,
                               gen_random_instance, isomorph_permutation,
@@ -103,9 +102,12 @@ def _perm_ranks(n: int, seed: int) -> list[int]:
     return rank
 
 
-# every column count an iso distribution run takes from the keystream,
-# and one more; at 9 and 17 about half of the first draws are rejected
-RANK_COLS = range(1, experiments._ISO_BLOCK_COLS + 2)
+# column counts up to the bitmask path's widest, which is the widest an
+# iso distribution run takes from the keystream: every count to 17, then
+# both sides of each mask width; at 9, 17 and 65 about half of the first
+# draws are rejected
+RANK_COLS = list(range(1, 18)) + [31, 32, 33, 64, 65, 100,
+                                  _SMALL_COLS - 1, _SMALL_COLS]
 
 
 @pytest.mark.parametrize("n", RANK_COLS)
@@ -133,6 +135,7 @@ def test_block_ranks_straddle_chunks():
 
 @pytest.mark.parametrize("words", [0, 8])
 def test_block_ranks_fall_back_when_words_run_out(monkeypatch, words):
+    computed = generators._perm_words
     seeds = [0] + list(range(1, 300))
     resets = []
     original = ReplicaStreams.rng
@@ -142,7 +145,8 @@ def test_block_ranks_fall_back_when_words_run_out(monkeypatch, words):
         return original(self, i)
 
     monkeypatch.setattr(ReplicaStreams, "rng", rng)
-    ranks = list(ReplicaStreams(seeds).ranks(9, _words=words))
+    monkeypatch.setattr(generators, "_perm_words", lambda n: words)
+    ranks = list(ReplicaStreams(seeds).ranks(9))
     assert ranks == [_perm_ranks(9, s) for s in seeds]
     # numpy's Philox makes its second block at counter 2, so a replica
     # drew more than the eight words of its first exactly when its
@@ -156,6 +160,7 @@ def test_block_ranks_fall_back_when_words_run_out(monkeypatch, words):
     assert resets == longer
     assert words == 0 or 150 < len(longer) < 290
     resets.clear()
+    monkeypatch.setattr(generators, "_perm_words", computed)
     assert list(ReplicaStreams(seeds).ranks(9))[1:] == ranks[1:]
     assert len(resets) < 10
 
