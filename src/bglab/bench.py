@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Any, Callable
 
+import numpy as np
+
 from .generators import (MovieTable, WatchTable, gen_movielib,
                          gen_random_instance, read_movielib, seeded_rng,
                          write_movielib)
@@ -243,7 +245,7 @@ def urn_task(seed: int = 0) -> PhaseTask:
 
     def solve(data):
         size, draws = data
-        return len(set(int(d) for d in draws)) / size
+        return np.unique(draws).size / size
 
     return PhaseTask(label="urn", read=read, solve=solve)
 

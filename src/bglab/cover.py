@@ -231,8 +231,8 @@ class _Engine:
         consume no stream), and a function is called at the first such
         draw, so a run that never ties makes no generator.
 
-        `rank` (read on the bitmask path only) takes the columns in the
-        order a `permuted` view's rank gives, as `ReplicaStreams.ranks`
+        `rank` (bitmask path, runs without `rng` only) takes the columns in
+        the order a `permuted` view's rank gives, as `ReplicaStreams.ranks`
         yields it, without making the view; a view passes its own.
         """
         if self.small:
@@ -258,10 +258,7 @@ class _Engine:
                     memo[cov, tie_tol] = ties
             j = ties[0]
             if len(ties) > 1:
-                # ties come in reference order; a rank takes them in its own
                 if rng is not None:
-                    if rank is not None:
-                        ties = sorted(ties, key=rank.__getitem__)
                     rng = _generator(rng)
                     j = ties[int(rng.integers(len(ties)))]
                 elif rank is not None:
@@ -405,35 +402,10 @@ def brute_force_cover(instance: BigraphInstance
 def enumerate_achievable_solutions(instance: BigraphInstance,
                                    tie_tol: float = 0.0
                                    ) -> set[tuple[tuple[int, ...], float]]:
-    """Every (coord, value) reachable under some tie-break sequence.
-
-    Branches exhaustively at every tied minimum; limited to <= 8 columns.
-    """
-    _check_tie_tol(tie_tol)
-    n = instance.n_cols
-    col_masks = _column_masks(instance, 8, "enumeration")
-    full = (1 << instance.m_rows) - 1
-    weights = instance.col_weights
-    memo: dict[int, set[frozenset[int]]] = {}
-
-    def completions(cov: int) -> set[frozenset[int]]:
-        if cov == full:
-            return {frozenset()}
-        cached = memo.get(cov)
-        if cached is not None:
-            return cached
-        out: set[frozenset[int]] = set()
-        for j in _tie_set(col_masks, weights, full ^ cov, tie_tol):
-            for rest in completions(cov | col_masks[j]):
-                out.add(rest | {j})
-        memo[cov] = out
-        return out
-
-    result = set()
-    for picks in completions(0):
-        coord = tuple(1 if j in picks else 0 for j in range(n))
-        result.add((coord, cover_value(coord, weights)))
-    return result
+    """Every (coord, value) reachable under some tie-break sequence: the
+    support of `exact_stoc_distribution`; limited to <= 8 columns."""
+    return {(c, cover_value(c, instance.col_weights))
+            for c in _exact_distribution(instance, tie_tol, 8, "enumeration")}
 
 
 def enumerate_achievable_values(instance: BigraphInstance,
@@ -454,9 +426,14 @@ def exact_stoc_distribution(instance: BigraphInstance, tie_tol: float = 0.0
     picked columns, so at most 2^n states are reachable; limited to <= 16
     columns.
     """
+    return _exact_distribution(instance, tie_tol, 16, "exact-distribution")
+
+
+def _exact_distribution(instance: BigraphInstance, tie_tol: float, limit: int,
+                        what: str) -> dict[tuple[int, ...], Fraction]:
     _check_tie_tol(tie_tol)
     n = instance.n_cols
-    col_masks = _column_masks(instance, 16, "exact-distribution")
+    col_masks = _column_masks(instance, limit, what)
     full = (1 << instance.m_rows) - 1
     outcomes: dict[tuple[int, ...], Fraction] = {}
     layer = {(0, 0): Fraction(1)}  # (picked-column bits, covered rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import statistics
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,22 +65,17 @@ class Stats:
 
     @classmethod
     def from_values(cls, values) -> "Stats":
-        values = list(values)
-        if not values:
-            raise ValueError("empty sample")
-        sd = statistics.stdev(values) if len(values) > 1 else 0.0
-        return cls(min=min(values), median=statistics.median_low(values),
-                   mean=statistics.mean(values), sd=sd, max=max(values))
+        return cls.from_histogram(Counter(values))
 
     @classmethod
     def from_histogram(cls, histogram: dict[float, int]) -> "Stats":
-        """`from_values` of a sample of floats given as {value: count},
-        bit for bit, at a cost that grows with the distinct values only.
+        """Statistics of a sample of floats given as {value: count}, at a
+        cost that grows with the distinct values only.
 
-        `statistics` sums exact fractions, which do not depend on order,
-        so the sums over the histogram are the same; the sd is the
-        correctly rounded square root of the exact variance, as
-        `statistics.stdev` takes it from Python 3.11 on.
+        Sums are exact fractions, so they do not depend on order, and the
+        sd is the correctly rounded square root of the exact variance:
+        the mean, median and sd equal `statistics.mean`, `median_low` and
+        `stdev` of the sample bit for bit on Python 3.11 and later.
         """
         if not histogram:
             raise ValueError("empty sample")

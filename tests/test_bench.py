@@ -8,7 +8,8 @@ from bglab.bench import (PhaseTask, TopKResult, asymptotic_sweep, select_topk,
                          sweep_csv, time_phases, topk_movies, topk_task,
                          urn_task, matching_task, watch_counts,
                          watch_histogram)
-from bglab.generators import MovieRecord, WatchRecord, gen_movielib
+from bglab.generators import (MovieRecord, WatchRecord, gen_movielib,
+                              urn_trial)
 
 
 def micro_dataset():
@@ -288,6 +289,14 @@ def test_urn_task_result_deterministic():
     sweep1 = asymptotic_sweep([128, 256], urn_task(seed=3))
     sweep2 = asymptotic_sweep([128, 256], urn_task(seed=3))
     assert sweep1.results == sweep2.results
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("size", [1, 7, 128, 1000])
+def test_urn_task_counts_like_urn_trial(seed, size):
+    # a sweep row draws its urn from the stream of seed + size
+    task = urn_task(seed=seed)
+    assert task.solve(task.read(size)) == urn_trial(size, size, seed + size)
 
 
 def test_matching_task_smoke():

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bglab.cover import (brute_force_cover, chvatal_upper_bound, cover_value,
+from bglab.cover import (_column_masks, _tie_set, brute_force_cover,
+                         chvatal_upper_bound, cover_value,
                          enumerate_achievable_solutions,
                          enumerate_achievable_values, exact_stoc_distribution,
                          greedy_basic, greedy_iso, greedy_stoc, harmonic,
@@ -497,9 +498,39 @@ def test_exact_distribution_bundled():
         {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
 
 
+def _enumerate_by_branching(instance, tie_tol):
+    """Every (coord, value) reachable by branching at each tied minimum:
+    a memoized recursion over covered-row states, independent of the
+    mass propagation in `exact_stoc_distribution`."""
+    n = instance.n_cols
+    col_masks = _column_masks(instance, 8, "enumeration")
+    full = (1 << instance.m_rows) - 1
+    weights = instance.col_weights
+    memo = {}
+
+    def completions(cov):
+        if cov == full:
+            return {frozenset()}
+        cached = memo.get(cov)
+        if cached is not None:
+            return cached
+        out = set()
+        for j in _tie_set(col_masks, weights, full ^ cov, tie_tol):
+            for rest in completions(cov | col_masks[j]):
+                out.add(rest | {j})
+        memo[cov] = out
+        return out
+
+    result = set()
+    for picks in completions(0):
+        coord = tuple(1 if j in picks else 0 for j in range(n))
+        result.add((coord, cover_value(coord, weights)))
+    return result
+
+
 def test_exact_distribution_support_is_enumeration(rs):
-    # one tie rule: the exact distribution and the enumeration branch on
-    # the same tie sets, so their supports agree
+    # one tie rule: the exact distribution and a branching enumeration
+    # walk the same tie sets, so their supports agree
     for _ in range(60):
         inst = random_instance(rs, n_max=8, m_max=8,
                                weighted=rs.random() < 0.5)
@@ -509,7 +540,7 @@ def test_exact_distribution_support_is_enumeration(rs):
             assert all(p > 0 for p in exact.values())
             assert {(coord, cover_value(coord, inst.col_weights))
                     for coord in exact} == \
-                enumerate_achievable_solutions(inst, tol)
+                _enumerate_by_branching(inst, tol)
 
 
 def test_exact_distribution_matches_sampling():
