@@ -15,8 +15,8 @@ optional relative tolerance for weights that only tie approximately.
 All variants run on one per-instance engine built from the flat literal
 arrays and the column-to-rows CSR (compressed sparse rows: a pointer array
 plus a flat row-index array) that `instances` derives for every column-wise
-view. An isomorph replica does not copy that engine; it runs a view that
-shares every array and carries only the permuted column order.
+view. An isomorph replica does not copy that engine; it passes only its
+permuted column order to the engine's run.
 On small instances the engine memoizes each covered-row state's tie set,
 and a random replica draws only at ties of two or more columns, so its
 draw source (a generator, or a distribution run's keystream) is touched
@@ -25,7 +25,6 @@ only when it is needed.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,12 +172,13 @@ class _Engine:
     one column array per row.
 
     The bitmask loop looks each covered-row state's tie set up in
-    `tie_memo`, keyed by (state, tie_tol) and shared with every view, so a
-    state's rates are computed once per engine, not once per replica.
+    `tie_memo`, keyed by (state, tie_tol), so a state's rates are computed
+    once per engine, not once per replica. Past its build the engine is only
+    read, the memo apart; whatever a replica varies is an argument of `run`.
 
-    An engine scans columns in reference order unless it is a `permuted`
-    view; ties resolve to the first tied column in that order and `coord`
-    is always reported in reference order.
+    A run scans columns in reference order unless it is given an isomorph's
+    column order; ties resolve to the first tied column in that order and
+    `coord` is always reported in reference order.
     """
 
     def __init__(self, instance: BigraphInstance):
@@ -186,8 +186,6 @@ class _Engine:
         self.m = m = instance.m_rows
         lengths, cols, row_of = unate_literals(instance)
         self.weights_list = instance.col_weights
-        self.order = None
-        self.rank = None
         self.small = n <= _SMALL_COLS and m <= _SMALL_ROWS
         if self.small:
             self.col_masks = _packed_masks(cols, row_of, n, m)
@@ -200,27 +198,20 @@ class _Engine:
         self.degrees0 = np.diff(col_ptr).astype(np.float64)
         self.weights = np.array(instance.col_weights, dtype=np.float64)
 
-    def permuted(self, perm: tuple[int, ...]) -> "_Engine":
-        """View of this engine that scans columns in `perm` order.
-
-        The view shares every array (and the tie memo) with this engine and
-        carries only the column order, so its runs solve the
-        column-permuted instance (output column idx carries input column
-        perm[idx]) and report `coord` in reference order. The bitmask loop
-        needs each column's position in that order (`rank`), the vectorized
-        one the order itself.
-        """
-        view = copy.copy(self)
+    def permuted(self, perm: tuple[int, ...]) -> list[int] | np.ndarray:
+        """The `order` of `run` that solves the column-permuted instance
+        (output column idx carries input column perm[idx]): each column's
+        position in `perm` (its rank) on the bitmask path, the 0-based
+        `perm` itself on the vectorized one."""
         if self.small:
-            view.rank = rank = [0] * self.n
+            rank = [0] * self.n
             for idx, col in enumerate(perm):
                 rank[col - 1] = idx
-        else:
-            view.order = np.fromiter(perm, dtype=np.intp, count=self.n) - 1
-        return view
+            return rank
+        return np.fromiter(perm, dtype=np.intp, count=self.n) - 1
 
     def run(self, rng, tie_tol: float = 0.0,
-            rank: list[int] | None = None) -> tuple[list[int], int]:
+            order=None) -> tuple[list[int], int]:
         """One greedy pass; returns (coord, n_ops).
 
         `rng` None selects the first minimum; otherwise selection is uniform
@@ -231,14 +222,13 @@ class _Engine:
         consume no stream), and a function is called at the first such
         draw, so a run that never ties makes no generator.
 
-        `rank` (bitmask path, runs without `rng` only) takes the columns in
-        the order a `permuted` view's rank gives, as `ReplicaStreams.ranks`
-        yields it, without making the view; a view passes its own.
+        `order` (runs without `rng` only) scans the columns in an
+        isomorph's order: as `permuted` returns it, or on the bitmask path
+        as `ReplicaStreams.ranks` yields it.
         """
         if self.small:
-            return self._run_small(rng, tie_tol,
-                                   self.rank if rank is None else rank)
-        return self._run_vectorized(rng, tie_tol)
+            return self._run_small(rng, tie_tol, order)
+        return self._run_vectorized(rng, tie_tol, order)
 
     def _run_small(self, rng, tie_tol: float,
                    rank: list[int] | None) -> tuple[list[int], int]:
@@ -268,9 +258,9 @@ class _Engine:
             n_ops += 1
         return coord, n_ops
 
-    def _run_vectorized(self, rng, tie_tol: float) -> tuple[list[int], int]:
+    def _run_vectorized(self, rng, tie_tol: float,
+                        order: np.ndarray | None) -> tuple[list[int], int]:
         col_ptr, col_rows = self.col_ptr, self.col_rows
-        order = self.order
         degrees = self.degrees0.copy()
         covered = np.zeros(self.m, dtype=bool)
         coord = [0] * self.n
@@ -364,7 +354,7 @@ def greedy_iso(instance: BigraphInstance, replica_id: int,
 
 def _greedy_iso_run(engine: _Engine, perm: tuple[int, ...], replica_id: int,
                     tie_tol: float = 0.0) -> CoverSolution:
-    coord, n_ops = engine.permuted(perm).run(None, tie_tol)
+    coord, n_ops = engine.run(None, tie_tol, engine.permuted(perm))
     return _solution(engine, coord, n_ops, replica_id)
 
 

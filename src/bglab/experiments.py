@@ -279,10 +279,10 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
     it, reached through one `ReplicaStreams` for the block: a stoc replica
     draws its tie-breaks from the block's keystream (`draws`), and only at
     ties of two or more columns. An iso replica of a large block on the
-    bitmask path takes its column ranks from the keystream (`ranks`) and runs
-    the engine with them; any other iso replica draws its permutation
-    from a generator reset to its stream and runs a `permuted` view. A
-    replica contributes only its value.
+    bitmask path takes its column ranks from the keystream (`ranks`); any
+    other iso replica draws its permutation from a generator reset to its
+    stream and turns it into an order with `permuted`. Either order goes
+    to the engine's run. A replica contributes only its value.
     """
     if num_seeds < 1:
         raise ValueError("num_seeds must be >= 1")
@@ -312,12 +312,10 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
                 # replica 0 is the basic greedy: it draws nothing
                 coord, _ = engine.run(streams.draws(i) if rid else None,
                                       tie_tol)
-            elif ranks is not None:
-                coord, _ = engine.run(None, tie_tol, next(ranks))
             else:
-                perm = isomorph_permutation(instance.n_cols, rid,
-                                            streams.rng(i))
-                coord, _ = engine.permuted(perm).run(None, tie_tol)
+                order = next(ranks) if ranks is not None else engine.permuted(
+                    isomorph_permutation(instance.n_cols, rid, streams.rng(i)))
+                coord, _ = engine.run(None, tie_tol, order)
         except Exception as exc:
             raise RuntimeError(
                 f"{instance.name}: solver {solver} failed on replica "

@@ -594,8 +594,9 @@ def test_tie_memo_is_shared_and_capped(monkeypatch, name):
     for tol in (0.0, 1e-9):
         assert _replica_coords(engine, tol) == expected[tol]
     assert 0 < len(engine.tie_memo) <= cover_mod._TIE_MEMO_STATES
-    view = engine.permuted(isomorph_permutation(inst.n_cols, 3))
-    assert view.tie_memo is engine.tie_memo
+    perm = isomorph_permutation(inst.n_cols, 3)
+    assert engine.permuted(perm) == [perm.index(c + 1)
+                                     for c in range(inst.n_cols)]
     assert {tol for _, tol in engine.tie_memo} == {0.0, 1e-9}
     for cap in (0, 1, 25):
         monkeypatch.setattr(cover_mod, "_TIE_MEMO_STATES", cap)
