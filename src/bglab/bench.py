@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import io
 import os
-import tempfile
 import threading
 import time
 from collections import Counter
@@ -205,20 +204,17 @@ def sweep_csv(rows) -> str:
     return out.getvalue()
 
 
-def topk_task(k: int = 10, seed: int = 0, strategy: str = "hash",
-              workdir: str | None = None) -> PhaseTask:
+def topk_task(k: int = 10, seed: int = 0, strategy: str = "hash", *,
+              workdir: str) -> PhaseTask:
     """Top-K task: read both tables from files and build the count structure,
-    then extract the top k."""
-    if workdir:
-        os.makedirs(workdir, exist_ok=True)
-        base = workdir
-    else:
-        base = tempfile.mkdtemp(prefix="bglab_topk_")
+    then extract the top k. The tables are written to `workdir`, which the
+    caller owns and removes."""
+    os.makedirs(workdir, exist_ok=True)
 
     def prepare(size: int):
         movies, watches = gen_movielib(size, seed)
-        movies_path = os.path.join(base, f"movies_{size}.csv")
-        watches_path = os.path.join(base, f"watches_{size}.csv")
+        movies_path = os.path.join(workdir, f"movies_{size}.csv")
+        watches_path = os.path.join(workdir, f"watches_{size}.csv")
         write_movielib(movies, watches, movies_path, watches_path)
         return movies_path, watches_path
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 from . import bench, cover, experiments, generators, instances, library
 from .formatting import fmt_fixed, fmt_number
@@ -309,14 +310,15 @@ def cmd_hist(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
-    if args.task == "topk":
-        task = bench.topk_task(k=args.k, seed=args.seed,
-                               strategy=args.strategy)
-    elif args.task == "urn":
-        task = bench.urn_task(seed=args.seed)
-    else:
-        task = bench.matching_task(seed=args.seed)
-    sweep = bench.asymptotic_sweep(sizes, task, repetitions=args.reps)
+    with tempfile.TemporaryDirectory(prefix="bglab_topk_") as workdir:
+        if args.task == "topk":
+            task = bench.topk_task(k=args.k, seed=args.seed,
+                                   strategy=args.strategy, workdir=workdir)
+        elif args.task == "urn":
+            task = bench.urn_task(seed=args.seed)
+        else:
+            task = bench.matching_task(seed=args.seed)
+        sweep = bench.asymptotic_sweep(sizes, task, repetitions=args.reps)
     for size, message in sweep.failures.items():
         sys.stderr.write(f"size {size} failed: {message}\n")
     _emit(args, bench.sweep_csv(sweep.rows))

@@ -56,10 +56,14 @@ class HarmonicBound:
 
 
 def harmonic(d: int) -> float:
-    """H_d = sum_{k=1..d} 1/k."""
+    """H_d = sum_{k=1..d} 1/k, added from k = 1 up: from Python 3.12 the
+    builtin `sum` of floats is compensated and rounds differently."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return sum(1.0 / k for k in range(1, d + 1))
+    total = 0.0
+    for k in range(1, d + 1):
+        total += 1.0 / k
+    return total
 
 
 def chvatal_upper_bound(bkv: float, m_cd: int) -> float:
@@ -69,9 +73,15 @@ def chvatal_upper_bound(bkv: float, m_cd: int) -> float:
 
 def harmonic_bound(bkv: float, m_cd: int) -> HarmonicBound:
     h = harmonic(m_cd)
-    if not bkv > 0:
-        raise ValueError("bkv must be positive")
+    _check_bkv(bkv)
+    _check_bkv(h * bkv, f"the bound H_{m_cd} * bkv")
     return HarmonicBound(d=m_cd, h_d=h, ub=h * bkv)
+
+
+def _check_bkv(bkv: float, label: str = "bkv") -> None:
+    """Reject a best-known value that is not a finite number > 0."""
+    if not 0.0 < bkv < math.inf:
+        raise ValueError(f"{label} must be positive and finite, got {bkv}")
 
 
 def cover_value(coord, weights) -> float:
@@ -102,6 +112,8 @@ _SMALL_ROWS = 1024
 # Most covered-row states whose tie sets one engine keeps; states past the
 # cap are computed and not stored.
 _TIE_MEMO_STATES = 1 << 14
+# Error of a cover whose weight total overflows to inf.
+_OVERFLOW = "the cover value overflows a float"
 
 
 def _packed_masks(cols: np.ndarray, row_of: np.ndarray, n: int,
@@ -302,9 +314,11 @@ class _Engine:
 
 def _solution(engine: _Engine, coord: list[int], n_ops: int,
               replica_id: int) -> CoverSolution:
-    return CoverSolution(coord=tuple(coord),
-                         value=cover_value(coord, engine.weights_list),
-                         n_ops=n_ops, replica_id=replica_id)
+    value = cover_value(coord, engine.weights_list)
+    if value == math.inf:
+        raise ValueError(_OVERFLOW)
+    return CoverSolution(coord=tuple(coord), value=value, n_ops=n_ops,
+                         replica_id=replica_id)
 
 
 def greedy_basic(instance: BigraphInstance,

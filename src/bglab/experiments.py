@@ -124,8 +124,7 @@ class BkvRegistry:
         self._entries: dict[str, tuple[float, str]] = dict(entries or {})
 
     def register(self, name: str, value: float, note: str = "") -> None:
-        if not value > 0:
-            raise ValueError(f"{name}: bkv must be positive")
+        cover._check_bkv(value, f"{name}: bkv")
         self._entries[name] = (float(value), note)
 
     def get(self, name: str) -> float | None:
@@ -239,10 +238,7 @@ def default_registry() -> BkvRegistry:
 
 def ratio_stats(values, bkv: float) -> Stats:
     """Five-number summary of values / bkv (full precision)."""
-    if not values:
-        raise ValueError("empty sample")
-    if not bkv > 0:
-        raise ValueError("bkv must be positive")
+    cover._check_bkv(bkv)
     return Stats.from_values([v / bkv for v in values])
 
 
@@ -286,8 +282,8 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
     """
     if num_seeds < 1:
         raise ValueError("num_seeds must be >= 1")
-    if bkv is not None and not bkv > 0:
-        raise ValueError("bkv must be positive")
+    if bkv is not None:
+        cover._check_bkv(bkv)
     cover._check_tie_tol(tie_tol)
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}")
@@ -322,6 +318,8 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
                 f"{rid}: {exc}") from exc
         value = cover.cover_value(coord, weights)
         histogram[value] = histogram.get(value, 0) + 1
+    if math.inf in histogram:
+        raise ValueError(f"{instance.name}: {cover._OVERFLOW}")
 
     stats = Stats.from_histogram(histogram)
     if bkv is None:
@@ -383,8 +381,7 @@ def ratio_string(value_stats: Stats, bkv: float) -> str:
     Each component is the two-decimal rounded value statistic divided by the
     best-known value, printed with a fixed two decimals.
     """
-    if not bkv > 0:
-        raise ValueError("bkv must be positive")
+    cover._check_bkv(bkv)
     return ",".join(fmt_fixed(round(v, 2) / bkv, 2)
                     for v in value_stats.as_tuple())
 

@@ -250,7 +250,7 @@ def test_tie_tol_rejected_at_boundary(capsys, tmp_path, wide_orlib_path,
 
 @pytest.mark.parametrize("command", ["dist", "converge"])
 @pytest.mark.parametrize("fmt", ["table", "csv"])
-@pytest.mark.parametrize("bkv", ["0", "-2", "nan"])
+@pytest.mark.parametrize("bkv", ["0", "-2", "nan", "inf"])
 def test_dist_converge_reject_nonpositive_bkv(capsys, monkeypatch,
                                               chvatal_path, command, fmt,
                                               bkv):
@@ -287,6 +287,27 @@ def test_ub_needs_input(capsys):
     assert "bkv" in err
 
 
+OVERFLOW_CNF = "p cnf 2 2\nw 1 1e308\nw 2 1.5e308\n1 0\n2 0\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("ub", "--bkv", "inf", "--mcd", "3"),
+     "bglab ub: bkv must be positive and finite, got inf\n"),
+    (("ub", "--bkv", "1e308", "--mcd", "5"),
+     "bglab ub: the bound H_5 * bkv must be positive and finite, "
+     "got inf\n"),
+    (("cover", "{path}"),
+     "bglab cover: the cover value overflows a float\n"),
+    (("dist", "{path}", "--seeds", "3"),
+     "bglab dist: huge: the cover value overflows a float\n"),
+], ids=["ub-inf-bkv", "ub-inf-bound", "cover", "dist"])
+def test_infinite_bkv_or_value_exits_2(capsys, tmp_path, argv, message):
+    path = tmp_path / "huge.cnfW"
+    path.write_text(OVERFLOW_CNF)
+    rc, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert (rc, out, err) == (2, "", message)
+
+
 def test_gen_random_roundtrip(capsys):
     rc, out, _ = run(capsys, "gen", "random", "30", "20", "2", "5",
                      "--seed", "7")
@@ -306,6 +327,9 @@ def test_gen_builtin(capsys):
     rc, _, err = run(capsys, "gen", "builtin", "--name", "nope")
     assert rc == 2
     assert "unknown builtin" in err
+    rc, out, err = run(capsys, "gen", "builtin")
+    assert (rc, out) == (2, "")
+    assert err == "bglab gen: gen builtin needs --name\n"
 
 
 def test_gen_random_missing_args(capsys):
@@ -417,6 +441,18 @@ def test_bench_csv(capsys):
     assert len(lines) == 3
     assert lines[1].startswith("32,")
     assert lines[2].startswith("64,")
+
+
+def test_bench_topk_removes_its_tables(capsys, monkeypatch, tmp_path):
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    rc, out, err = run(capsys, "bench", "--task", "topk",
+                       "--sizes", "2^5,2^6", "--reps", "1")
+    assert (rc, err) == (0, "")
+    assert [line.split(",")[-1] for line in out.splitlines()[1:]] == \
+        ["topk_hash"] * 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_flag_writes_file(capsys, chvatal_path, tmp_path):

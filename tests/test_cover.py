@@ -68,6 +68,9 @@ def test_stoc_replica_zero_is_basic(rs):
         base = greedy_basic(inst)
         assert greedy_stoc(inst, 0) == base
         assert greedy_iso(inst, 0) == base
+    for solver in (greedy_stoc, greedy_iso):
+        with pytest.raises(ValueError, match="replica_id must be nonnegative"):
+            solver(chvatal_6_5(), -1)
 
 
 def test_stoc_two_optima_frequencies():
@@ -111,6 +114,11 @@ def test_harmonic():
     assert harmonic(1) == 1.0
     assert harmonic(6) == pytest.approx(2.45, abs=1e-12)
     assert harmonic(18) == pytest.approx(3.4951080781963135, abs=1e-12)
+    # summed from k = 1 up, as on Python 3.11, whatever `sum` does
+    pinned = {4: "0x1.0aaaaaaaaaaaap+1", 6: "0x1.3999999999999p+1",
+              7: "0x1.4be2be2be2be2p+1", 29: "0x1.fb1778bd5af57p+1",
+              64: "0x1.2f9be897cd527p+2"}
+    assert {d: harmonic(d).hex() for d in pinned} == pinned
     with pytest.raises(ValueError):
         harmonic(0)
 
@@ -122,6 +130,10 @@ def test_chvatal_upper_bound_values():
         assert chvatal_upper_bound(x, 1) == x
     with pytest.raises(ValueError):
         chvatal_upper_bound(0, 3)
+    with pytest.raises(ValueError, match="bkv must be positive"):
+        harmonic_bound(float("inf"), 3)
+    with pytest.raises(ValueError, match="H_5 \\* bkv must be positive"):
+        harmonic_bound(1e308, 5)
     bound = harmonic_bound(1.1, 5)
     assert bound.d == 5
     assert bound.h_d == pytest.approx(CHVATAL_VALUE, abs=1e-12)

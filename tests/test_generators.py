@@ -26,6 +26,8 @@ def test_seeded_rng_deterministic():
     c = seeded_rng(43).integers(0, 1 << 30, size=8)
     assert a.tolist() == b.tolist()
     assert a.tolist() != c.tolist()
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        seeded_rng(-1)
 
 
 KEY_SEEDS = list(range(4096)) + [2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1]
@@ -250,6 +252,8 @@ def test_gen_random_validation():
         gen_random_instance(1, 5, 4, 3, seed=0)
     with pytest.raises(ValueError):
         gen_random_instance(1, 5, 2, 6, seed=0)
+    with pytest.raises(ValueError, match="must be positive"):
+        gen_random_instance(0, 5, 1, 3, seed=0)
 
 
 def test_permute_columns_roundtrip(rs):
@@ -290,6 +294,8 @@ def test_isomorph_identity():
     assert iso == inst
     assert perm == (1, 2, 3, 4, 5)
     assert isomorph_permutation(5, 0) == (1, 2, 3, 4, 5)
+    with pytest.raises(ValueError, match="replica_id must be nonnegative"):
+        isomorph_permutation(3, -1)
 
 
 def test_isomorph_deterministic_and_named():
@@ -366,6 +372,8 @@ def test_movielib_single():
     movies, watches = gen_movielib(1, seed=0)
     assert len(movies) == len(watches) == 1
     assert watches[0].movie_id == movies[0].movie_id
+    with pytest.raises(ValueError, match="size must be positive"):
+        gen_movielib(0, seed=0)
 
 
 def test_movielib_referential_integrity():

@@ -87,6 +87,9 @@ def test_parse_binate():
     ("c only a comment\n", "missing problem line"),
     ("p cnf x 1\n1 0\n", "integers"),
     ("p cnf 2 1\n1 rubbish 0\n", "bad clause tokens"),
+    ("p cnf 0 3\n", "counts must be positive"),
+    ("w 1 2\np cnf 2 1\n1 0\n", "weight line before problem line"),
+    ("p cnf 2 2\n1 0\np cnf 2 2\n2 0\n", "duplicate problem line"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
@@ -237,6 +240,20 @@ def test_instance_validation():
     with pytest.raises(ValueError, match="empty"):
         BigraphInstance(name="e", n_cols=1, m_rows=1, rows=((),),
                         col_weights=(1.0,), weight_kind=UNIT)
+    for n_cols, m_rows in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            BigraphInstance(name="z", n_cols=n_cols, m_rows=m_rows,
+                            rows=((1,),) * m_rows,
+                            col_weights=(1.0,) * n_cols, weight_kind=UNIT)
+    with pytest.raises(ValueError, match="expected 2 rows, got 1"):
+        BigraphInstance(name="m", n_cols=1, m_rows=2, rows=((1,),),
+                        col_weights=(1.0,), weight_kind=UNIT)
+    with pytest.raises(ValueError, match="expected 2 weights, got 1"):
+        BigraphInstance(name="c", n_cols=2, m_rows=1, rows=((1,),),
+                        col_weights=(1.0,), weight_kind=UNIT)
+    with pytest.raises(ValueError, match="unknown weight kind"):
+        BigraphInstance(name="k", n_cols=1, m_rows=1, rows=((1,),),
+                        col_weights=(1.0,), weight_kind="cnfX")
 
 
 def test_orlib_minimal():
@@ -266,6 +283,7 @@ def test_orlib_unit_override():
     ("1 1\n1\n1 1\n9\n", "trailing"),
     ("2 2\n3 inf\n1 1\n2 1 2\n", "non-finite"),
     ("2 2\nnan 5\n1 1\n2 1 2\n", "non-finite"),
+    ("2 2\n3\n", "expected cost of column 2"),
 ])
 def test_orlib_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
