@@ -183,8 +183,9 @@ class _Engine:
     and `col_rows`, rows ascending within a column), the column degrees and
     one column array per row.
 
+    An engine is built for one tie tolerance, checked once by the build.
     The bitmask loop looks each covered-row state's tie set up in
-    `tie_memo`, keyed by (state, tie_tol), so a state's rates are computed
+    `tie_memo`, keyed by the state alone, so a state's rates are computed
     once per engine, not once per replica. Past its build the engine is only
     read, the memo apart; whatever a replica varies is an argument of `run`.
 
@@ -193,7 +194,9 @@ class _Engine:
     `coord` is always reported in reference order.
     """
 
-    def __init__(self, instance: BigraphInstance):
+    def __init__(self, instance: BigraphInstance, tie_tol: float = 0.0):
+        _check_tie_tol(tie_tol)
+        self.tie_tol = tie_tol
         self.n = n = instance.n_cols
         self.m = m = instance.m_rows
         lengths, cols, row_of = unate_literals(instance)
@@ -202,7 +205,7 @@ class _Engine:
         if self.small:
             self.col_masks = _packed_masks(cols, row_of, n, m)
             self.full = (1 << m) - 1
-            self.tie_memo: dict[tuple[int, float], tuple[int, ...]] = {}
+            self.tie_memo: dict[int, tuple[int, ...]] = {}
             return
         col_ptr, self.col_rows = column_csr(cols, row_of, n)
         self.col_ptr = col_ptr.tolist()
@@ -222,9 +225,9 @@ class _Engine:
             return rank
         return np.fromiter(perm, dtype=np.intp, count=self.n) - 1
 
-    def run(self, rng, tie_tol: float = 0.0,
-            order=None) -> tuple[list[int], int]:
-        """One greedy pass; returns (coord, n_ops).
+    def run(self, rng, order=None) -> tuple[list[int], int]:
+        """One greedy pass under the engine's tie tolerance; returns
+        (coord, n_ops).
 
         `rng` None selects the first minimum; otherwise selection is uniform
         over the tied minimum set, drawn by `rng.integers(len(ties))`: `rng`
@@ -239,10 +242,10 @@ class _Engine:
         as `ReplicaStreams.ranks` yields it.
         """
         if self.small:
-            return self._run_small(rng, tie_tol, order)
-        return self._run_vectorized(rng, tie_tol, order)
+            return self._run_small(rng, order)
+        return self._run_vectorized(rng, order)
 
-    def _run_small(self, rng, tie_tol: float,
+    def _run_small(self, rng,
                    rank: list[int] | None) -> tuple[list[int], int]:
         masks = self.col_masks
         memo = self.tie_memo
@@ -251,13 +254,14 @@ class _Engine:
         coord = [0] * self.n
         n_ops = 0
         while cov != full:
-            ties = memo.get((cov, tie_tol))
+            ties = memo.get(cov)
             if ties is None:
-                ties = _tie_set(masks, self.weights_list, full ^ cov, tie_tol)
+                ties = _tie_set(masks, self.weights_list, full ^ cov,
+                                self.tie_tol)
                 if not ties:
                     raise ValueError("uncoverable rows remain")
                 if len(memo) < _TIE_MEMO_STATES:
-                    memo[cov, tie_tol] = ties
+                    memo[cov] = ties
             j = ties[0]
             if len(ties) > 1:
                 if rng is not None:
@@ -270,9 +274,10 @@ class _Engine:
             n_ops += 1
         return coord, n_ops
 
-    def _run_vectorized(self, rng, tie_tol: float,
+    def _run_vectorized(self, rng,
                         order: np.ndarray | None) -> tuple[list[int], int]:
         col_ptr, col_rows = self.col_ptr, self.col_rows
+        tie_tol = self.tie_tol
         degrees = self.degrees0.copy()
         covered = np.zeros(self.m, dtype=bool)
         coord = [0] * self.n
@@ -324,9 +329,8 @@ def _solution(engine: _Engine, coord: list[int], n_ops: int,
 def greedy_basic(instance: BigraphInstance,
                  tie_tol: float = 0.0) -> CoverSolution:
     """Deterministic greedy cover (first-minimum tie rule)."""
-    _check_tie_tol(tie_tol)
-    engine = _Engine(instance)
-    coord, n_ops = engine.run(None, tie_tol)
+    engine = _Engine(instance, tie_tol)
+    coord, n_ops = engine.run(None)
     return _solution(engine, coord, n_ops, 0)
 
 
@@ -336,19 +340,16 @@ def greedy_stoc(instance: BigraphInstance, replica_id: int,
 
     replica_id 0 reproduces greedy_basic exactly.
     """
-    _check_tie_tol(tie_tol)
     if replica_id < 0:
         raise ValueError("replica_id must be nonnegative")
-    engine = _Engine(instance)
-    return _greedy_stoc_run(engine, replica_id, tie_tol)
+    return _greedy_stoc_run(_Engine(instance, tie_tol), replica_id)
 
 
-def _greedy_stoc_run(engine: _Engine, replica_id: int,
-                     tie_tol: float = 0.0) -> CoverSolution:
+def _greedy_stoc_run(engine: _Engine, replica_id: int) -> CoverSolution:
     """The replica draws from `seeded_rng(replica_id)`, made only at the
     run's first real tie."""
     rng = None if replica_id == 0 else (lambda: seeded_rng(replica_id))
-    coord, n_ops = engine.run(rng, tie_tol)
+    coord, n_ops = engine.run(rng)
     return _solution(engine, coord, n_ops, replica_id)
 
 
@@ -358,17 +359,14 @@ def greedy_iso(instance: BigraphInstance, replica_id: int,
 
     replica_id 0 equals greedy_basic on the reference instance.
     """
-    _check_tie_tol(tie_tol)
-    if replica_id < 0:
-        raise ValueError("replica_id must be nonnegative")
-    engine = _Engine(instance)
+    engine = _Engine(instance, tie_tol)
     perm = isomorph_permutation(instance.n_cols, replica_id)
-    return _greedy_iso_run(engine, perm, replica_id, tie_tol)
+    return _greedy_iso_run(engine, perm, replica_id)
 
 
-def _greedy_iso_run(engine: _Engine, perm: tuple[int, ...], replica_id: int,
-                    tie_tol: float = 0.0) -> CoverSolution:
-    coord, n_ops = engine.run(None, tie_tol, engine.permuted(perm))
+def _greedy_iso_run(engine: _Engine, perm: tuple[int, ...],
+                    replica_id: int) -> CoverSolution:
+    coord, n_ops = engine.run(None, engine.permuted(perm))
     return _solution(engine, coord, n_ops, replica_id)
 
 

@@ -284,7 +284,6 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
         raise ValueError("num_seeds must be >= 1")
     if bkv is not None:
         cover._check_bkv(bkv)
-    cover._check_tie_tol(tie_tol)
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}")
     if seed_mode not in SEED_MODES:
@@ -295,7 +294,7 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
         meta = seeded_rng(meta_seed)
         seeds = [int(s) for s in meta.integers(0, 10**6, size=num_seeds)]
 
-    engine = cover._Engine(instance)
+    engine = cover._Engine(instance, tie_tol)
     weights = instance.col_weights
     streams = ReplicaStreams(seeds)
     ranks = None
@@ -306,12 +305,11 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
         try:
             if solver == "stoc":
                 # replica 0 is the basic greedy: it draws nothing
-                coord, _ = engine.run(streams.draws(i) if rid else None,
-                                      tie_tol)
+                coord, _ = engine.run(streams.draws(i) if rid else None)
             else:
                 order = next(ranks) if ranks is not None else engine.permuted(
                     isomorph_permutation(instance.n_cols, rid, streams.rng(i)))
-                coord, _ = engine.run(None, tie_tol, order)
+                coord, _ = engine.run(None, order)
         except Exception as exc:
             raise RuntimeError(
                 f"{instance.name}: solver {solver} failed on replica "

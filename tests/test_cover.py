@@ -245,16 +245,16 @@ def test_engine_paths_agree_exactly(rs, monkeypatch):
 
     insts = [random_instance(rs, n_max=9, m_max=9,
                              weighted=rs.random() < 0.5) for _ in range(40)]
-    smalls = [cover_mod._Engine(inst) for inst in insts]
+    tols = (0.0, 1e-9)
+    smalls = [cover_mod._Engine(inst, tol) for inst in insts for tol in tols]
     monkeypatch.setattr(cover_mod, "_SMALL_COLS", 0)
-    bigs = [cover_mod._Engine(inst) for inst in insts]
+    bigs = [cover_mod._Engine(inst, tol) for inst in insts for tol in tols]
     for small, big in zip(smalls, bigs):
         assert small.small and not big.small
         for rid in (0, 1, 2, 5):
-            for tol in (0.0, 1e-9):
-                rng_a = None if rid == 0 else seeded_rng(rid)
-                rng_b = None if rid == 0 else seeded_rng(rid)
-                assert small.run(rng_a, tol) == big.run(rng_b, tol)
+            rng_a = None if rid == 0 else seeded_rng(rid)
+            rng_b = None if rid == 0 else seeded_rng(rid)
+            assert small.run(rng_a) == big.run(rng_b)
 
 
 def _rows_of_col(inst):
@@ -583,14 +583,14 @@ def test_exact_distribution_validation():
         exact_stoc_distribution(wide(17))
 
 
-def _replica_coords(engine, tol):
+def _replica_coords(engine):
     import bglab.cover as cover_mod
 
     out = []
     for rid in range(40):
-        out.append(cover_mod._greedy_stoc_run(engine, rid, tol).coord)
+        out.append(cover_mod._greedy_stoc_run(engine, rid).coord)
         perm = isomorph_permutation(engine.n, rid)
-        out.append(cover_mod._greedy_iso_run(engine, perm, rid, tol).coord)
+        out.append(cover_mod._greedy_iso_run(engine, perm, rid).coord)
     return out
 
 
@@ -599,20 +599,21 @@ def test_tie_memo_is_shared_and_capped(monkeypatch, name):
     import bglab.cover as cover_mod
 
     inst = SMALL_PATH_INSTANCES[name]()
-    expected = {tol: _replica_coords(cover_mod._Engine(inst), tol)
+    expected = {tol: _replica_coords(cover_mod._Engine(inst, tol))
                 for tol in (0.0, 1e-9)}
-    # one engine runs both tolerances, stoc replicas and iso views
-    engine = cover_mod._Engine(inst)
-    for tol in (0.0, 1e-9):
-        assert _replica_coords(engine, tol) == expected[tol]
-    assert 0 < len(engine.tie_memo) <= cover_mod._TIE_MEMO_STATES
+    # one engine per tolerance runs stoc and iso replicas on a warm memo
+    engines = {tol: cover_mod._Engine(inst, tol) for tol in (0.0, 1e-9)}
+    for tol, engine in engines.items():
+        assert _replica_coords(engine) == expected[tol]
+        assert _replica_coords(engine) == expected[tol]
+        assert 0 < len(engine.tie_memo) <= cover_mod._TIE_MEMO_STATES
+        assert all(type(cov) is int for cov in engine.tie_memo)
     perm = isomorph_permutation(inst.n_cols, 3)
-    assert engine.permuted(perm) == [perm.index(c + 1)
-                                     for c in range(inst.n_cols)]
-    assert {tol for _, tol in engine.tie_memo} == {0.0, 1e-9}
+    assert engines[0.0].permuted(perm) == [perm.index(c + 1)
+                                           for c in range(inst.n_cols)]
     for cap in (0, 1, 25):
         monkeypatch.setattr(cover_mod, "_TIE_MEMO_STATES", cap)
-        capped = cover_mod._Engine(inst)
-        for tol in (0.0, 1e-9):
-            assert _replica_coords(capped, tol) == expected[tol]
-        assert len(capped.tie_memo) == min(cap, len(engine.tie_memo))
+        for tol, engine in engines.items():
+            capped = cover_mod._Engine(inst, tol)
+            assert _replica_coords(capped) == expected[tol]
+            assert len(capped.tie_memo) == min(cap, len(engine.tie_memo))
