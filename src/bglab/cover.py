@@ -277,7 +277,6 @@ class _Engine:
     def _run_vectorized(self, rng,
                         order: np.ndarray | None) -> tuple[list[int], int]:
         col_ptr, col_rows = self.col_ptr, self.col_rows
-        tie_tol = self.tie_tol
         degrees = self.degrees0.copy()
         covered = np.zeros(self.m, dtype=bool)
         coord = [0] * self.n
@@ -288,14 +287,11 @@ class _Engine:
                 rates = self.weights / degrees
                 if order is not None:
                     rates = rates[order]
-                if rng is None and tie_tol == 0.0:
+                if rng is None and self.tie_tol == 0.0:
                     j = int(rates.argmin())
                 else:
                     low = rates.min()
-                    if tie_tol:
-                        ties = np.flatnonzero(rates <= low * (1.0 + tie_tol))
-                    else:
-                        ties = np.flatnonzero(rates == low)
+                    ties = np.flatnonzero(rates <= low * (1.0 + self.tie_tol))
                     if rng is None or ties.size == 1:
                         j = int(ties[0])
                     else:
@@ -329,9 +325,7 @@ def _solution(engine: _Engine, coord: list[int], n_ops: int,
 def greedy_basic(instance: BigraphInstance,
                  tie_tol: float = 0.0) -> CoverSolution:
     """Deterministic greedy cover (first-minimum tie rule)."""
-    engine = _Engine(instance, tie_tol)
-    coord, n_ops = engine.run(None)
-    return _solution(engine, coord, n_ops, 0)
+    return _greedy_stoc_run(_Engine(instance, tie_tol), 0)
 
 
 def greedy_stoc(instance: BigraphInstance, replica_id: int,

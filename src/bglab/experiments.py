@@ -95,10 +95,10 @@ class Stats:
         return cls(min=values[0], median=median, mean=float(mean), sd=sd,
                    max=values[-1])
 
-    def scaled(self, divisor: float) -> "Stats":
-        return Stats(min=self.min / divisor, median=self.median / divisor,
-                     mean=self.mean / divisor, sd=self.sd / divisor,
-                     max=self.max / divisor)
+    def scaled(self, bkv: float) -> "Stats":
+        """Each statistic over `bkv`, which `_check_ratios` must accept."""
+        _check_ratios(self.max, bkv)
+        return Stats(*(v / bkv for v in self.as_tuple()))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.min, self.median, self.mean, self.sd, self.max)
@@ -238,23 +238,31 @@ def default_registry() -> BkvRegistry:
 
 def ratio_stats(values, bkv: float) -> Stats:
     """Five-number summary of values / bkv (full precision)."""
-    cover._check_bkv(bkv)
+    values = list(values)
+    _check_ratios(max(values, default=0.0), bkv)
     return Stats.from_values([v / bkv for v in values])
+
+
+def _check_ratios(largest: float, bkv: float) -> None:
+    """Reject a bkv that is not finite and > 0, or so small that the largest
+    value over it, rounded to two decimals or not, overflows a float."""
+    cover._check_bkv(bkv)
+    if math.isinf(max(largest, round(largest, 2)) / bkv):
+        raise ValueError(
+            f"the ratio of {largest} to bkv {bkv} overflows a float")
 
 
 # An iso distribution run of at least this many seeds on the bitmask path
 # takes its replicas' column ranks from the block keystream
-# (`ReplicaStreams.ranks`); a smaller one resets the block's generator for
-# each replica and runs a `permuted` view. On one host (2 vCPUs of a shared
-# Xeon, Python 3.11.7, numpy 2.4.6), whole runs' view time over keystream
-# time, best of 5, at 256 / 512 / 2,048 seeds: 1.47-1.55 / 1.65-1.89 /
-# 1.81-2.41 at 9 and 16 columns, 1.06 / 1.21 / 1.13 at 32, and 0.86-0.97 /
-# 1.03-1.08 / 1.02-1.53 from 48 to 128 columns. From 48 columns a
-# replica's greedy pass is most of its time and repeated runs scatter by
-# about 15%. The rank source alone, at 2,048 seeds, costs 2.2-7.7 us a
-# replica against 9.1-16.2 us for a reset and a view up to 32 columns,
-# 12.4-16.3 against 15.0-17.3 us at 50-96, and 27 against 21 us at 128:
-# under 3% of a 128-column replica.
+# (`ReplicaStreams.ranks`); a smaller one takes a per-replica permutation
+# turned into an order by `permuted`. Whole runs' time with per-replica
+# permutations over time with keystream ranks, two sets of best-of-5
+# interleaved runs on one host (2 vCPUs of a shared Xeon, Python 3.11.7,
+# numpy 2.4.6), at 256 / 512 / 2,048 seeds: 1.37-1.50 / 1.58-1.75 /
+# 1.73-1.79 at 9 columns (`school_9_11`), then on random 100-row instances
+# 0.97-1.14 / 1.30-1.37 / 1.41-1.54 at 16, 0.85-0.90 / 1.02-1.14 /
+# 1.13-1.22 at 32, 0.77 / 0.92-0.95 / 1.06-1.10 at 48, and 0.72-0.74 /
+# 0.67-1.01 / 0.80-0.91 at 96 and 128.
 _ISO_BLOCK_SEEDS = 512
 
 
@@ -379,7 +387,7 @@ def ratio_string(value_stats: Stats, bkv: float) -> str:
     Each component is the two-decimal rounded value statistic divided by the
     best-known value, printed with a fixed two decimals.
     """
-    cover._check_bkv(bkv)
+    _check_ratios(value_stats.max, bkv)
     return ",".join(fmt_fixed(round(v, 2) / bkv, 2)
                     for v in value_stats.as_tuple())
 

@@ -300,7 +300,13 @@ OVERFLOW_CNF = "p cnf 2 2\nw 1 1e308\nw 2 1.5e308\n1 0\n2 0\n"
      "bglab cover: the cover value overflows a float\n"),
     (("dist", "{path}", "--seeds", "3"),
      "bglab dist: huge: the cover value overflows a float\n"),
-], ids=["ub-inf-bkv", "ub-inf-bound", "cover", "dist"])
+    (("dist", "{path}", "--unit", "--seeds", "3", "--bkv", "1e-320",
+      "--format", "json"),
+     "bglab dist: the ratio of 2.0 to bkv 1e-320 overflows a float\n"),
+    (("converge", "{path}", "--unit", "--counts", "3", "--bkv", "1e-320"),
+     "bglab converge: the ratio of 2.0 to bkv 1e-320 overflows a float\n"),
+], ids=["ub-inf-bkv", "ub-inf-bound", "cover", "dist", "dist-tiny-bkv",
+        "converge-tiny-bkv"])
 def test_infinite_bkv_or_value_exits_2(capsys, tmp_path, argv, message):
     path = tmp_path / "huge.cnfW"
     path.write_text(OVERFLOW_CNF)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import statistics
@@ -95,6 +96,8 @@ def test_ratio_stats_values():
         ratio_stats([], 2)
     with pytest.raises(ValueError):
         ratio_stats([1.0], 0)
+    with pytest.raises(ValueError, match="overflows a float"):
+        ratio_stats([1.0], 1e-320)
 
 
 def test_stats_string_table_style():
@@ -287,6 +290,23 @@ def test_registry_overlay(tmp_path, monkeypatch):
     assert registry.get("custom.cnfU") == 3
     assert registry.note("custom.cnfU") == "local run"
     assert registry.get("scpb1.cnfU") == 22
+    monkeypatch.setattr(experiments, "_default_registry", None)
+
+
+def test_tiny_bkv_ratio_overflow_rejected(tmp_path, monkeypatch):
+    # a ratio that overflows is an error, not an inf, on every way in,
+    # a bkv from the registry file included
+    message = "the ratio of 6.0 to bkv 1e-320 overflows a float"
+    with pytest.raises(ValueError, match=message):
+        ratio_string(Stats(4.0, 5.0, 5.0, 1.0, 6.0), 1e-320)
+    with pytest.raises(ValueError, match=message):
+        run_cover_distribution(school_9_11(), 5, bkv=1e-320)
+    path = tmp_path / "bkv.json"
+    path.write_text(json.dumps({"school_9_11__0.cnfU": 1e-320}))
+    monkeypatch.setattr(experiments, "_default_registry", None)
+    monkeypatch.setenv(experiments.BKV_REGISTRY_ENV, str(path))
+    with pytest.raises(ValueError, match=message):
+        run_cover_distribution(school_9_11(), 5)
     monkeypatch.setattr(experiments, "_default_registry", None)
 
 
@@ -514,6 +534,27 @@ def _count_view_replicas(patch) -> list[int]:
                   lambda n, rid, rng=None: calls.append(rid)
                   or original(n, rid, rng))
     return calls
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cover_instances(), st.data(), st.sampled_from([0.0, 1e-9]))
+def test_engine_paths_agree_under_drawn_weights(inst, data, tol):
+    # relative steps of 1e-12 and 5e-10 tie under a 1e-9 tolerance and one
+    # of 2e-9 does not, so near-ties fall on both sides of it
+    deltas = data.draw(st.lists(st.sampled_from([0.0, 1e-12, 5e-10, 2e-9]),
+                                min_size=inst.n_cols, max_size=inst.n_cols))
+    inst = dataclasses.replace(inst, weight_kind=WEIGHTED, col_weights=tuple(
+        w * (1.0 + d) for w, d in zip(inst.col_weights, deltas)))
+    perm = tuple(data.draw(st.permutations(range(1, inst.n_cols + 1))))
+    small = cover._Engine(inst, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cover, "_SMALL_COLS", 0)
+        big = cover._Engine(inst, tol)
+    assert small.small and not big.small
+    for rid in range(6):
+        assert small.run(seeded_rng(rid)) == big.run(seeded_rng(rid))
+    assert small.run(None, small.permuted(perm)) == \
+        big.run(None, big.permuted(perm))
 
 
 BLOCK_SEEDS = experiments._ISO_BLOCK_SEEDS
