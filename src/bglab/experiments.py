@@ -95,10 +95,10 @@ class Stats:
         return cls(min=values[0], median=median, mean=float(mean), sd=sd,
                    max=values[-1])
 
-    def scaled(self, bkv: float) -> "Stats":
-        """Each statistic over `bkv`, which `_check_ratios` must accept."""
-        _check_ratios(self.max, bkv)
-        return Stats(*(v / bkv for v in self.as_tuple()))
+    def scaled(self, divisor: float) -> "Stats":
+        """Each statistic over a bkv that `_check_ratios` accepts."""
+        _check_ratios(self.max, divisor)
+        return Stats(*(v / divisor for v in self.as_tuple()))
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.min, self.median, self.mean, self.sd, self.max)

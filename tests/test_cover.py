@@ -599,12 +599,11 @@ def test_tie_memo_is_shared_and_capped(monkeypatch, name):
     import bglab.cover as cover_mod
 
     inst = SMALL_PATH_INSTANCES[name]()
-    expected = {tol: _replica_coords(cover_mod._Engine(inst, tol))
-                for tol in (0.0, 1e-9)}
-    # one engine per tolerance runs stoc and iso replicas on a warm memo
     engines = {tol: cover_mod._Engine(inst, tol) for tol in (0.0, 1e-9)}
+    expected = {tol: _replica_coords(engine)
+                for tol, engine in engines.items()}
+    # one engine per tolerance runs stoc and iso replicas on a warm memo
     for tol, engine in engines.items():
-        assert _replica_coords(engine) == expected[tol]
         assert _replica_coords(engine) == expected[tol]
         assert 0 < len(engine.tie_memo) <= cover_mod._TIE_MEMO_STATES
         assert all(type(cov) is int for cov in engine.tie_memo)
