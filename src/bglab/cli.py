@@ -15,7 +15,7 @@ import sys
 import tempfile
 
 from . import bench, cover, experiments, generators, instances, library
-from .formatting import fmt_fixed, fmt_number
+from .formatting import fmt_exact, fmt_fixed, fmt_number
 from .matching import max_matching
 
 FORMATS = ("table", "csv", "json")
@@ -174,7 +174,7 @@ def cmd_dist(args) -> int:
                  f"values {values}"]
         if summary.bkv is not None:
             ratios = experiments.ratio_string(summary.stats, summary.bkv)
-            lines.append(f"ratios {ratios} (bkv {fmt_number(summary.bkv, 4)})")
+            lines.append(f"ratios {ratios} (bkv {fmt_exact(summary.bkv)})")
         lines.append("histogram:")
         lines += _histogram_lines(summary)
         _emit(args, "\n".join(lines) + "\n")
@@ -232,7 +232,7 @@ def cmd_ub(args) -> int:
                                indent=2) + "\n")
     elif args.format == "csv":
         _rows_output(args, ("bkv", "mCD", "harmonic", "UB"),
-                     [(fmt_number(bkv, 4), bound.d, fmt_number(bound.h_d, 3),
+                     [(fmt_exact(bkv), bound.d, fmt_number(bound.h_d, 3),
                        fmt_number(bound.ub))])
     else:
         _emit(args, f"mCD {bound.d} harmonic {fmt_number(bound.h_d, 3)} "

@@ -2,7 +2,8 @@
 
 Values are rounded to two decimals with trailing zeros dropped (integers
 print bare), ratio statistics print with a fixed two decimals, densities
-with four.
+with four. A value that must not be misread, such as a best-known value,
+prints rounded only when the rounding is exact, and in full otherwise.
 """
 
 from __future__ import annotations
@@ -14,6 +15,13 @@ def fmt_number(x: float, ndigits: int = 2) -> str:
     if r == int(r):
         return str(int(r))
     return repr(r)
+
+
+def fmt_exact(x: float, ndigits: int = 4) -> str:
+    """`fmt_number(x, ndigits)` when it reads back as x, else x in full:
+    1.1 -> '1.1', 4e-05 -> '4e-05' (not '0')."""
+    short = fmt_number(x, ndigits)
+    return short if float(short) == x else repr(x)
 
 
 def fmt_fixed(x: float, ndigits: int = 2) -> str:

@@ -41,7 +41,9 @@ class BigraphInstance:
 
     ``rows`` holds one clause per row as a tuple of signed column indices in
     ``[-n_cols..-1] + [1..n_cols]``. All types are immutable after
-    construction and safe for concurrent read access.
+    construction and safe for concurrent read access. The same literals are
+    also kept as flat read-only arrays outside the fields
+    (`_signed_literals`).
     """
 
     name: str = field(compare=False)
@@ -88,26 +90,40 @@ class BigraphInstance:
     def _trusted(cls, *, name: str, n_cols: int, m_rows: int,
                  rows: tuple[tuple[int, ...], ...],
                  col_weights: tuple[float, ...],
-                 weight_kind: str) -> "BigraphInstance":
+                 weight_kind: str,
+                 _literals: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> "BigraphInstance":
         """Instance from fields the caller has already checked.
 
         Skips `__post_init__`: every invariant it enforces must hold, with
         `rows` a tuple of tuples of int and `col_weights` a tuple of float.
         The readers build through it after checking each literal once, and
         so do relabellings of an instance that is already valid.
+        `_literals`, if given, must be `_keep_literals` of exactly `rows`;
+        a rewrap `_trusted(**{**vars(inst), ...})` that keeps `rows` may
+        pass the instance's own on.
         """
         inst = object.__new__(cls)
         vars(inst).update(name=name, n_cols=n_cols, m_rows=m_rows, rows=rows,
                           col_weights=col_weights, weight_kind=weight_kind)
+        if _literals is not None:
+            vars(inst)["_literals"] = _literals
         return inst
+
+    def __getstate__(self) -> dict:
+        # a copy or unpickled instance rebuilds its arrays, read-only, at
+        # first use; numpy would restore them writeable
+        state = dict(vars(self))
+        state.pop("_literals", None)
+        return state
 
     @property
     def is_unate(self) -> bool:
-        return all(lit > 0 for clause in self.rows for lit in clause)
+        return bool(_signed_literals(self)[1].min() > 0)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(clause) for clause in self.rows)
+        return _signed_literals(self)[1].size
 
     def column_degrees(self) -> list[int]:
         """Number of rows each column appears in (binate literals count)."""
@@ -122,28 +138,52 @@ def _check_cols(n_cols: int) -> None:
         raise ValueError(f"{n_cols} columns exceed the limit of {MAX_COLS}")
 
 
+def _keep_literals(lengths: np.ndarray, flat: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Row lengths and signed literals as the read-only int32 arrays an
+    instance keeps: 4 B per row and per literal (`MAX_COLS` fits)."""
+    kept = (lengths.astype(np.int32, copy=False),
+            flat.astype(np.int32, copy=False))
+    for array in kept:
+        array.flags.writeable = False
+    return kept
+
+
 def _signed_literals(instance: BigraphInstance
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(row lengths, every signed literal in row order)."""
-    rows = instance.rows
-    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    return lengths, np.fromiter(chain.from_iterable(rows), np.intp,
-                                int(lengths.sum()))
+    """(row lengths, every signed literal in row order), int32 and
+    read-only.
+
+    The readers hand over the arrays they checked; any other instance
+    builds them from `rows` at first use. Either way they are kept in the
+    instance's `__dict__`, outside the dataclass fields, so `==`, `hash`
+    and `repr` ignore them and `dataclasses.replace` never carries them
+    over. Two threads may both build them; both get equal arrays.
+    """
+    kept = vars(instance).get("_literals")
+    if kept is None:
+        rows = instance.rows
+        lengths = np.fromiter(map(len, rows), np.int32, len(rows))
+        kept = _keep_literals(lengths, np.fromiter(
+            chain.from_iterable(rows), np.int32, int(lengths.sum())))
+        vars(instance)["_literals"] = kept
+    return kept
 
 
 def unate_literals(instance: BigraphInstance
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row lengths, 0-based column, row) of every literal, in row order.
 
-    Every column-wise view of a unate instance derives from these arrays,
-    built per call and not cached on the instance. Raises
-    `UnateRequiredError` on a binate literal.
+    Every column-wise view of a unate instance derives from these arrays.
+    They come from the literals the instance keeps (`_signed_literals`):
+    the lengths are that int32 array itself, the columns and rows are
+    fresh intp arrays. Raises `UnateRequiredError` on a binate literal.
     """
     lengths, flat = _signed_literals(instance)
     if flat.min() < 1:
         raise UnateRequiredError(f"{instance.name}: unate required")
     rows = np.repeat(np.arange(len(lengths), dtype=np.intp), lengths)
-    return lengths, flat - 1, rows
+    return lengths, np.subtract(flat, 1, dtype=np.intp), rows
 
 
 def column_csr(cols: np.ndarray, row_of: np.ndarray, n_cols: int
@@ -331,10 +371,11 @@ def parse_cnf(text: str, name: str = "instance") -> BigraphInstance:
         raise ParseError(max(line_no, 1), "missing problem line")
 
     clauses: list[tuple[int, ...]] = []
+    arrays: list[tuple[np.ndarray, np.ndarray]] = []
     if first is not None:
         rest = chain([first], lines)
         while block := list(islice(rest, _BLOCK_LINES)):
-            _read_clauses(block, line_no, n_cols, m_rows, clauses)
+            _read_clauses(block, line_no, n_cols, m_rows, clauses, arrays)
             line_no += len(block)
         line_no -= 1
     if len(clauses) != m_rows:
@@ -342,15 +383,19 @@ def parse_cnf(text: str, name: str = "instance") -> BigraphInstance:
                          f"expected {m_rows} clauses, found {len(clauses)}")
     kind = WEIGHTED if weights else UNIT
     col_weights = tuple(weights.get(c, 1.0) for c in range(1, n_cols + 1))
+    lengths, flat = map(np.concatenate, zip(*arrays))
     return BigraphInstance._trusted(name=name, n_cols=n_cols, m_rows=m_rows,
                                     rows=tuple(clauses),
-                                    col_weights=col_weights, weight_kind=kind)
+                                    col_weights=col_weights, weight_kind=kind,
+                                    _literals=_keep_literals(lengths, flat))
 
 
 def _read_clauses(block: list[str], first_no: int, n_cols: int, m_rows: int,
-                  clauses: list[tuple[int, ...]]) -> None:
+                  clauses: list[tuple[int, ...]],
+                  arrays: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """Check the lines of `block`, numbered from `first_no`, and append
-    their clauses to `clauses`; raise `ParseError` at the first faulty one.
+    their clauses to `clauses` and their (row lengths, literals) as int32
+    arrays to `arrays`; raise `ParseError` at the first faulty one.
 
     Past the first clause a line is blank, a comment, or a clause; a
     problem or weight line there is a fault.
@@ -430,8 +475,10 @@ def _read_clauses(block: list[str], first_no: int, n_cols: int, m_rows: int,
         raise ParseError(first_no + stop,
                          f"bad clause tokens: {block[stop].strip()!r}")
     del tokens, values, vals
+    sizes = (lens - 1).astype(np.int32)
+    arrays.append((sizes, lits.astype(np.int32)))
     flat = _shared_ints(lits).tolist()
-    ends = np.cumsum(lens - 1).tolist()
+    ends = np.cumsum(sizes).tolist()
     clauses.extend(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
 
 
@@ -538,22 +585,32 @@ def ingest_orlib(text: str, name: str = "orlib",
     row_of = np.cumsum(is_count)[lit_at] - 1
     cols = values[lit_at]
     out = (cols < 1) | (cols > n_cols)
+    # only the first out-of-range index can be reported, so its token is
+    # all that is kept of the token strings the duplicate search outlives
+    first_out = np.flatnonzero(out)[:1]
+    out_token = body[lit_at[first_out[0]]] if first_out.size else None
+    del body, values
     repeat, order = _repeats(cols, row_of, out)
     faulty = np.flatnonzero(out | repeat)
     if faulty.size and (fault is None or lit_at[faulty[0]] < fault[0]):
         i = faulty[0]
         if out[i]:
             raise ValueError(f"row {row_of[i] + 1}: column "
-                             f"{int(body[lit_at[i]])} out of range")
+                             f"{int(out_token)} out of range")
         raise ValueError(f"row {row_of[i] + 1}: duplicate column {cols[i]}")
     if fault is not None:
         raise ValueError(fault[1])
-    del body, values
-    cols = _shared_ints(cols[order])
-    ends = np.cumsum(np.diff(starts + [pos]) - 1).tolist()
-    rows = tuple(tuple(cols[a:b].tolist()) for a, b in zip([0] + ends, ends))
+    # int32 before the gather, so no int64 copy of the literals is made
+    flat = cols.astype(np.int32)[order]
+    del cols, order
+    lengths = np.diff(starts + [pos]) - 1
+    ends = np.cumsum(lengths).tolist()
+    shared = _shared_ints(flat)
+    rows = tuple(tuple(shared[a:b].tolist())
+                 for a, b in zip([0] + ends, ends))
     col_weights = (1.0,) * n_cols if unit_weights else tuple(costs.tolist())
     return BigraphInstance._trusted(
         name=name, n_cols=n_cols, m_rows=m_rows, rows=rows,
         col_weights=col_weights,
-        weight_kind=UNIT if unit_weights else WEIGHTED)
+        weight_kind=UNIT if unit_weights else WEIGHTED,
+        _literals=_keep_literals(lengths, flat))

@@ -4,7 +4,11 @@ Columns form the side the search augments from; ties are broken by ascending
 row index, columns are scanned in ascending index order, so results are
 deterministic for a fixed instance. One solve allocates a single visit-stamp
 array of m_rows ints; column c's search marks rows with the stamp c + 1, so
-each search pays only for the rows it visits.
+each search pays only for the rows it visits. The adjacency is one int32
+column CSR built from the instance's kept literal arrays, read through a
+memoryview slice per column, so a row's int object is made only when a
+search reaches it. The matched pairs are read from the column side: at
+most n_cols of them, sorted by row.
 A brute-force oracle over tiny instances backs the correctness tests.
 """
 
@@ -12,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .instances import (BigraphInstance, UnateRequiredError, column_csr,
                         unate_literals)
@@ -26,15 +32,17 @@ class MatchingResult:
     m_p: float
 
 
-def _column_adjacency(instance: BigraphInstance) -> list[list[int]]:
-    """Rows of each column, ascending: slices of the column CSR."""
+def _column_adjacency(instance: BigraphInstance) -> list[memoryview]:
+    """Rows of each column, ascending: int32 memoryview slices of the
+    column CSR."""
     ptr, rows = column_csr(*unate_literals(instance)[1:], instance.n_cols)
-    ptr, rows = ptr.tolist(), rows.tolist()
-    return [rows[ptr[j]:ptr[j + 1]] for j in range(instance.n_cols)]
+    view = memoryview(rows.astype(np.int32))
+    ptr = ptr.tolist()
+    return [view[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
-def _augment(start: int, adj: list[list[int]], match_row: list[int],
-             seen: list[int], stamp: int) -> bool:
+def _augment(start: int, adj: list[memoryview], match_row: list[int],
+             match_col: list[int], seen: list[int], stamp: int) -> bool:
     # Iterative alternating-path DFS; frames are (column, row-iterator,
     # row used to enter the column).
     stack = [(start, iter(adj[start]), -1)]
@@ -49,8 +57,11 @@ def _augment(start: int, adj: list[list[int]], match_row: list[int],
             if owner == -1:
                 # free row found: flip matches along the stack
                 match_row[r] = col
+                match_col[col] = r
                 for k in range(len(stack) - 1, 0, -1):
-                    match_row[stack[k][2]] = stack[k - 1][0]
+                    entered, prev = stack[k][2], stack[k - 1][0]
+                    match_row[entered] = prev
+                    match_col[prev] = entered
                 return True
             stack.append((owner, iter(adj[owner]), r))
             advanced = True
@@ -64,12 +75,14 @@ def max_matching(instance: BigraphInstance) -> MatchingResult:
     """Maximum matching of rows to columns for a unate instance."""
     adj = _column_adjacency(instance)
     match_row = [-1] * instance.m_rows
+    match_col = [-1] * instance.n_cols
     seen = [0] * instance.m_rows
     size = 0
     for c in range(instance.n_cols):
-        if _augment(c, adj, match_row, seen, c + 1):
+        if _augment(c, adj, match_row, match_col, seen, c + 1):
             size += 1
-    pairs = tuple((r + 1, c + 1) for r, c in enumerate(match_row) if c != -1)
+    pairs = tuple(sorted((r + 1, c + 1) for c, r in enumerate(match_col)
+                         if r != -1))
     return MatchingResult(size=size, pairs=pairs,
                           m_p=size / instance.n_cols)
 

@@ -174,6 +174,38 @@ def test_dist_without_bkv(capsys, tmp_path):
     assert "values 1,1,1,0,1" in out
 
 
+@pytest.fixture
+def school_path(tmp_path, capsys):
+    path = tmp_path / "school_9_11.cnfU"
+    assert run(capsys, "gen", "builtin", "--name", "school_9_11", "--out",
+               str(path))[0] == 0
+    return str(path)
+
+
+BIG = {v: f"{v / 1e-307:.2f}" for v in (1, 4, 5, 6)}
+
+
+@pytest.mark.parametrize("bkv,line", [
+    ("1e-307", f"ratios {BIG[4]},{BIG[5]},{BIG[5]},{BIG[1]},{BIG[6]} "
+               "(bkv 1e-307)"),
+    ("0.00004", "ratios 100000.00,125000.00,125000.00,25000.00,150000.00 "
+                "(bkv 4e-05)"),
+])
+def test_dist_prints_tiny_bkv_in_full(capsys, school_path, bkv, line):
+    # rounded to four decimals, both would print as "bkv 0"
+    rc, out, _ = run(capsys, "dist", school_path, "--seeds", "5", "--bkv",
+                     bkv)
+    assert rc == 0
+    assert out.splitlines()[2] == line
+
+
+def test_ub_csv_prints_tiny_bkv_in_full(capsys, school_path):
+    rc, out, _ = run(capsys, "ub", school_path, "--bkv", "0.00004",
+                     "--format", "csv")
+    assert rc == 0
+    assert out.splitlines()[1].split(",")[:3] == ["4e-05", "3", "1.833"]
+
+
 def test_dist_csv(capsys, chvatal_path):
     rc, out, _ = run(capsys, "dist", chvatal_path, "--seeds", "50",
                      "--format", "csv")

@@ -1,6 +1,9 @@
+import copy
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
+from itertools import chain
 from unittest.mock import patch
 
 import numpy as np
@@ -9,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bglab.instances as instances_module
-from bglab.generators import gen_random_instance
+from bglab.cli import _load_instance
+from bglab.generators import gen_isomorph, gen_random_instance, permute_columns
 from bglab.instances import (UNIT, WEIGHTED, BigraphInstance, ParseError,
                              UnateRequiredError, column_csr, compute_stats,
                              ingest_orlib, parse_cnf, to_incidence_matrix,
@@ -210,7 +214,8 @@ def test_column_views_match_literal_loop(rs):
         ptr, col_rows = column_csr(cols, row_of, n)
         assert [col_rows[ptr[j]:ptr[j + 1]].tolist()
                 for j in range(n)] == rows_of_col
-        assert _column_adjacency(inst) == rows_of_col
+        assert [rows.tolist() for rows in _column_adjacency(inst)] \
+            == rows_of_col
         binate = _with_signs(rs, inst)
         assert binate.column_degrees() == inst.column_degrees()
         if not binate.is_unate:
@@ -218,6 +223,101 @@ def test_column_views_match_literal_loop(rs):
                 unate_literals(binate)
             with pytest.raises(UnateRequiredError, match="unate required"):
                 _column_adjacency(binate)
+
+
+def _fromiter_literals(inst):
+    """(row lengths, signed literals) rebuilt from `rows` as the instance
+    model built them on every call before instances kept them."""
+    rows = inst.rows
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    return lengths, np.fromiter(chain.from_iterable(rows), np.intp,
+                                int(lengths.sum()))
+
+
+def _assert_literals_match_rows(inst):
+    """Every array view of `inst` equals one rebuilt from its rows, and
+    the kept arrays are read-only int32."""
+    lengths, flat = _fromiter_literals(inst)
+    kept = instances_module._signed_literals(inst)
+    assert kept is instances_module._signed_literals(inst)
+    for got, want in zip(kept, (lengths, flat)):
+        assert got.dtype == np.int32
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 1
+    assert inst.is_unate == all(lit > 0 for row in inst.rows for lit in row)
+    assert inst.num_edges == sum(len(row) for row in inst.rows)
+    assert inst.column_degrees() == np.bincount(
+        np.abs(flat) - 1, minlength=inst.n_cols).tolist()
+    if inst.is_unate:
+        got_lengths, cols, row_of = unate_literals(inst)
+        assert np.array_equal(got_lengths, lengths)
+        assert np.array_equal(cols, flat - 1)
+        assert np.array_equal(row_of, np.repeat(np.arange(lengths.size),
+                                                lengths))
+    else:
+        with pytest.raises(UnateRequiredError, match="unate required"):
+            unate_literals(inst)
+
+
+def _kept_by_reader(inst):
+    """`inst` after checking that its reader handed it the arrays."""
+    assert "_literals" in vars(inst)
+    return inst
+
+
+def test_kept_literals_match_rows_for_every_maker(rs, tmp_path):
+    made = []
+    for _ in range(20):
+        inst = random_instance(rs, n_max=12, m_max=12, deg_max=5,
+                               weighted=rs.random() < 0.5)
+        made += [inst, _with_signs(rs, inst)]
+    # one block of clause lines, and several: 4096 lines a block
+    for m_rows in (50, 4095, 4096, 4097, 9000):
+        inst = gen_random_instance(m_rows, 40, 1, 5, seed=m_rows)
+        made += [inst, _with_signs(rs, inst)]
+    for inst in list(made):
+        parsed = _kept_by_reader(parse_cnf(write_cnf(inst)))
+        assert parsed.rows == inst.rows
+        made.append(parsed)
+        if inst.is_unate:
+            text = "\n".join(" ".join(tokens)
+                             for tokens in _orlib_lines(inst))
+            for unit in (False, True):
+                made.append(_kept_by_reader(
+                    ingest_orlib(text, unit_weights=unit)))
+            perm = tuple(rs.sample(range(1, inst.n_cols + 1), inst.n_cols))
+            made.append(permute_columns(inst, perm))
+            made.append(gen_isomorph(parsed, 3)[0])
+        # a rewrap of new rows must not carry the old rows' arrays
+        made.append(replace(parsed, rows=tuple(
+            tuple(-lit for lit in row) for row in parsed.rows)))
+        made.append(replace(parsed, rows=parsed.rows[::-1]))
+        made += [copy.copy(parsed), copy.deepcopy(parsed),
+                 pickle.loads(pickle.dumps(parsed))]
+    for inst in made:
+        _assert_literals_match_rows(inst)
+
+    path = tmp_path / "chvatal.cnfW"
+    path.write_text(CHVATAL_TEXT)
+    unit = _kept_by_reader(_load_instance(str(path), unit_weights=True))
+    assert unit.weight_kind == UNIT
+    _assert_literals_match_rows(unit)
+
+
+def test_kept_literals_leave_equality_and_repr_alone():
+    inst = gen_random_instance(30, 12, 1, 4, seed=4)
+    parsed = parse_cnf(write_cnf(inst), name=inst.name)
+    assert "_literals" in vars(parsed)
+    assert "_literals" not in vars(inst)
+    assert parsed == inst
+    assert repr(parsed) == repr(inst)
+    assert hash(parsed) == hash(inst)
+    inst.num_edges  # builds and keeps the arrays
+    assert "_literals" in vars(inst)
+    assert parsed == inst
+    assert repr(parsed) == repr(inst)
 
 
 def test_instance_validation():

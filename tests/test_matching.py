@@ -1,11 +1,13 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bglab.bench import matching_task
 from bglab.generators import gen_random_instance
 from bglab.instances import (UNIT, BigraphInstance, UnateRequiredError,
-                             parse_cnf)
+                             parse_cnf, write_cnf)
 from bglab.library import chvatal_6_5, school_9_11
 from bglab.matching import brute_force_matching, max_matching
 
@@ -181,3 +183,30 @@ def test_matching_pairs_pinned(exp, digest):
     # the maximum matchings is returned; these digests pin it
     pairs = max_matching(matching_task(0).read(2 ** exp)).pairs
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
+
+@st.composite
+def unate_instances(draw):
+    """A unate unit instance of 1-12 columns and 1-16 rows of 1-4
+    columns each."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 16))
+    rows = tuple(tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1,
+                                           max_size=4))))
+                 for _ in range(m))
+    return unit_instance(rows, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(unate_instances())
+def test_matching_size_equals_hopcroft_karp(inst):
+    # the instance as built makes its literal arrays at first use; the
+    # parsed copy gets the arrays its reader checked
+    result = max_matching(inst)
+    assert max_matching(parse_cnf(write_cnf(inst))) == result
+    assert result.size == scipy_matching_size(inst) == len(result.pairs)
+    assert no_augmenting_path(inst, result.pairs)
+    rows = [r for r, _ in result.pairs]
+    assert rows == sorted(set(rows))
+    assert len({c for _, c in result.pairs}) == result.size
+    assert all(c in inst.rows[r - 1] for r, c in result.pairs)
