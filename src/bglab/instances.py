@@ -18,8 +18,9 @@ import numpy as np
 
 UNIT = "unit"
 WEIGHTED = "weighted"
-# Most columns an instance can have: `column_csr` sorts literals on an
-# int32 column key above 2^16 columns.
+# Most columns an instance can have: instances keep their literals as
+# int32, and `column_csr` sorts literals on an int32 column key above 2^16
+# columns.
 MAX_COLS = 2**31 - 1
 
 
