@@ -17,10 +17,10 @@ def fmt_number(x: float, ndigits: int = 2) -> str:
     return repr(r)
 
 
-def fmt_exact(x: float, ndigits: int = 4) -> str:
-    """`fmt_number(x, ndigits)` when it reads back as x, else x in full:
+def fmt_exact(x: float) -> str:
+    """`fmt_number(x, 4)` when it reads back as x, else x in full:
     1.1 -> '1.1', 4e-05 -> '4e-05' (not '0')."""
-    short = fmt_number(x, ndigits)
+    short = fmt_number(x, 4)
     return short if float(short) == x else repr(x)
 
 

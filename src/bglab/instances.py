@@ -111,13 +111,6 @@ class BigraphInstance:
             vars(inst)["_literals"] = _literals
         return inst
 
-    def __getstate__(self) -> dict:
-        # a copy or unpickled instance rebuilds its arrays, read-only, at
-        # first use; numpy would restore them writeable
-        state = dict(vars(self))
-        state.pop("_literals", None)
-        return state
-
     @property
     def is_unate(self) -> bool:
         return bool(_signed_literals(self)[1].min() > 0)
