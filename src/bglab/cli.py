@@ -226,6 +226,8 @@ def cmd_ub(args) -> int:
             raise ValueError("need either a path or both --bkv and --mcd")
         bkv, m_cd = args.bkv, args.mcd
     bound = cover.harmonic_bound(bkv, m_cd)
+    # two decimals, unless they would print a positive bound as 0
+    ub = fmt_number(bound.ub) if round(bound.ub, 2) else repr(bound.ub)
     if args.format == "json":
         _emit(args, json.dumps({"bkv": bkv, "mCD": bound.d,
                                 "harmonic": bound.h_d, "UB": bound.ub},
@@ -233,10 +235,10 @@ def cmd_ub(args) -> int:
     elif args.format == "csv":
         _rows_output(args, ("bkv", "mCD", "harmonic", "UB"),
                      [(fmt_exact(bkv), bound.d, fmt_number(bound.h_d, 3),
-                       fmt_number(bound.ub))])
+                       ub)])
     else:
         _emit(args, f"mCD {bound.d} harmonic {fmt_number(bound.h_d, 3)} "
-                    f"UB {fmt_number(bound.ub)}\n")
+                    f"UB {ub}\n")
     return 0
 
 

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instances import UNIT, BigraphInstance, UnateRequiredError
+from .instances import (UNIT, BigraphInstance, UnateRequiredError,
+                        _literals_of)
 
 # A column permutation is a 1-based tuple: output column idx carries input
 # column perm[idx - 1].
@@ -415,7 +416,8 @@ def permute_columns(instance: BigraphInstance,
     return BigraphInstance._trusted(name=instance.name, n_cols=n,
                                     m_rows=instance.m_rows, rows=rows,
                                     col_weights=weights,
-                                    weight_kind=instance.weight_kind)
+                                    weight_kind=instance.weight_kind,
+                                    _literals=_literals_of(rows))
 
 
 def isomorph_permutation(n_cols: int, replica_id: int,

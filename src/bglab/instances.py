@@ -10,6 +10,7 @@ per-column weight lines) and the OR-library set-covering format.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 from itertools import chain, islice
@@ -42,9 +43,9 @@ class BigraphInstance:
 
     ``rows`` holds one clause per row as a tuple of signed column indices in
     ``[-n_cols..-1] + [1..n_cols]``. All types are immutable after
-    construction and safe for concurrent read access. The same literals are
-    also kept as flat read-only arrays outside the fields
-    (`_signed_literals`).
+    construction and safe for concurrent read access. ``_literals`` holds
+    the same literals as read-only int32 arrays (row lengths, every signed
+    literal in row order), made with the instance (`_literals_of`).
     """
 
     name: str = field(compare=False)
@@ -53,10 +54,16 @@ class BigraphInstance:
     rows: tuple[tuple[int, ...], ...]
     col_weights: tuple[float, ...]
     weight_kind: str
+    _literals: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
+                                                     compare=False)
 
     def __post_init__(self):
         _check_cols(self.n_cols)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        # literals become Python ints; rows already of ints keep their tuple
+        rows = tuple(tuple(r) for r in self.rows)
+        if any(type(lit) is not int for row in rows for lit in row):
+            rows = tuple(tuple(map(operator.index, r)) for r in rows)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "col_weights",
                            tuple(float(w) for w in self.col_weights))
         if self.n_cols < 1 or self.m_rows < 1:
@@ -86,42 +93,42 @@ class BigraphInstance:
                     f"column {c}: nonpositive or non-finite weight {w}")
         if self.weight_kind == UNIT and any(w != 1.0 for w in self.col_weights):
             raise ValueError("unit instance with non-unit weights")
+        object.__setattr__(self, "_literals", _literals_of(self.rows))
 
     @classmethod
     def _trusted(cls, *, name: str, n_cols: int, m_rows: int,
                  rows: tuple[tuple[int, ...], ...],
                  col_weights: tuple[float, ...],
                  weight_kind: str,
-                 _literals: tuple[np.ndarray, np.ndarray] | None = None
+                 _literals: tuple[np.ndarray, np.ndarray]
                  ) -> "BigraphInstance":
         """Instance from fields the caller has already checked.
 
         Skips `__post_init__`: every invariant it enforces must hold, with
-        `rows` a tuple of tuples of int and `col_weights` a tuple of float.
-        The readers build through it after checking each literal once, and
-        so do relabellings of an instance that is already valid.
-        `_literals`, if given, must be `_keep_literals` of exactly `rows`;
-        a rewrap `_trusted(**{**vars(inst), ...})` that keeps `rows` may
-        pass the instance's own on.
+        `rows` a tuple of tuples of int, `col_weights` a tuple of float and
+        `_literals` equal to `_literals_of(rows)`. The readers build through
+        it after checking each literal once, and so do relabellings of an
+        instance that is already valid; a rewrap
+        `_trusted(**{**vars(inst), ...})` that keeps `rows` passes the
+        instance's own arrays on.
         """
         inst = object.__new__(cls)
         vars(inst).update(name=name, n_cols=n_cols, m_rows=m_rows, rows=rows,
-                          col_weights=col_weights, weight_kind=weight_kind)
-        if _literals is not None:
-            vars(inst)["_literals"] = _literals
+                          col_weights=col_weights, weight_kind=weight_kind,
+                          _literals=_literals)
         return inst
 
     @property
     def is_unate(self) -> bool:
-        return bool(_signed_literals(self)[1].min() > 0)
+        return bool(self._literals[1].min() > 0)
 
     @property
     def num_edges(self) -> int:
-        return _signed_literals(self)[1].size
+        return self._literals[1].size
 
     def column_degrees(self) -> list[int]:
         """Number of rows each column appears in (binate literals count)."""
-        _, flat = _signed_literals(self)
+        _, flat = self._literals
         return np.bincount(np.abs(flat) - 1, minlength=self.n_cols).tolist()
 
 
@@ -143,25 +150,23 @@ def _keep_literals(lengths: np.ndarray, flat: np.ndarray
     return kept
 
 
-def _signed_literals(instance: BigraphInstance
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(row lengths, every signed literal in row order), int32 and
-    read-only.
+def _literals_of(rows: tuple[tuple[int, ...], ...]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """`_keep_literals` of the lengths and literals of `rows`."""
+    lengths = np.fromiter(map(len, rows), np.int32, len(rows))
+    return _keep_literals(lengths, np.fromiter(
+        chain.from_iterable(rows), np.int32, int(lengths.sum())))
 
-    The readers hand over the arrays they checked; any other instance
-    builds them from `rows` at first use. Either way they are kept in the
-    instance's `__dict__`, outside the dataclass fields, so `==`, `hash`
-    and `repr` ignore them and `dataclasses.replace` never carries them
-    over. Two threads may both build them; both get equal arrays.
-    """
-    kept = vars(instance).get("_literals")
-    if kept is None:
-        rows = instance.rows
-        lengths = np.fromiter(map(len, rows), np.int32, len(rows))
-        kept = _keep_literals(lengths, np.fromiter(
-            chain.from_iterable(rows), np.int32, int(lengths.sum())))
-        vars(instance)["_literals"] = kept
-    return kept
+
+def _rows_of(lengths: np.ndarray, flat: np.ndarray
+             ) -> tuple[tuple[int, ...], ...]:
+    """The row tuples of the literals `flat` cut at `lengths`, with one int
+    object per distinct literal, so that the rows share them."""
+    distinct, index = np.unique(flat, return_inverse=True)
+    ints = np.array(distinct.tolist(), dtype=object)
+    shared = ints[index.reshape(-1)].tolist()
+    ends = np.cumsum(lengths).tolist()
+    return tuple(tuple(shared[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def unate_literals(instance: BigraphInstance
@@ -169,11 +174,11 @@ def unate_literals(instance: BigraphInstance
     """(row lengths, 0-based column, row) of every literal, in row order.
 
     Every column-wise view of a unate instance derives from these arrays.
-    They come from the literals the instance keeps (`_signed_literals`):
-    the lengths are that int32 array itself, the columns and rows are
-    fresh intp arrays. Raises `UnateRequiredError` on a binate literal.
+    They come from the instance's `_literals`: the lengths are that int32
+    array itself, the columns and rows are fresh intp arrays. Raises
+    `UnateRequiredError` on a binate literal.
     """
-    lengths, flat = _signed_literals(instance)
+    lengths, flat = instance._literals
     if flat.min() < 1:
         raise UnateRequiredError(f"{instance.name}: unate required")
     rows = np.repeat(np.arange(len(lengths), dtype=np.intp), lengths)
@@ -272,13 +277,6 @@ def _convert(tokens: list[str], dtype) -> tuple[np.ndarray, np.ndarray | None]:
             values[i] = min(max(value, -2**63), 2**63 - 1) if read is int \
                 else value
     return values, bad if bad.any() else None
-
-
-def _shared_ints(values: np.ndarray) -> np.ndarray:
-    """`values` as an object array of Python ints with one int object per
-    distinct value, so that the rows built from it share them."""
-    distinct, index = np.unique(values, return_inverse=True)
-    return np.array(distinct.tolist(), dtype=object)[index.reshape(-1)]
 
 
 def _repeats(cols: np.ndarray, row_of: np.ndarray, skip: np.ndarray
@@ -469,11 +467,9 @@ def _read_clauses(block: list[str], first_no: int, n_cols: int, m_rows: int,
         raise ParseError(first_no + stop,
                          f"bad clause tokens: {block[stop].strip()!r}")
     del tokens, values, vals
-    sizes = (lens - 1).astype(np.int32)
-    arrays.append((sizes, lits.astype(np.int32)))
-    flat = _shared_ints(lits).tolist()
-    ends = np.cumsum(sizes).tolist()
-    clauses.extend(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
+    sizes, lits = (lens - 1).astype(np.int32), lits.astype(np.int32)
+    arrays.append((sizes, lits))
+    clauses.extend(_rows_of(sizes, lits))
 
 
 def _fmt_weight(w: float) -> str:
@@ -598,13 +594,9 @@ def ingest_orlib(text: str, name: str = "orlib",
     flat = cols.astype(np.int32)[order]
     del cols, order
     lengths = np.diff(starts + [pos]) - 1
-    ends = np.cumsum(lengths).tolist()
-    shared = _shared_ints(flat)
-    rows = tuple(tuple(shared[a:b].tolist())
-                 for a, b in zip([0] + ends, ends))
     col_weights = (1.0,) * n_cols if unit_weights else tuple(costs.tolist())
     return BigraphInstance._trusted(
-        name=name, n_cols=n_cols, m_rows=m_rows, rows=rows,
-        col_weights=col_weights,
+        name=name, n_cols=n_cols, m_rows=m_rows,
+        rows=_rows_of(lengths, flat), col_weights=col_weights,
         weight_kind=UNIT if unit_weights else WEIGHTED,
         _literals=_keep_literals(lengths, flat))

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from bglab.cli import FORMATS, _load_instance, _parse_sizes, main
+from bglab.cover import harmonic
 from bglab.generators import gen_random_instance
 from bglab.instances import UNIT, parse_cnf, write_cnf
 from bglab.library import chvatal_6_5, school_9_11, two_optima
@@ -203,7 +204,11 @@ def test_ub_csv_prints_tiny_bkv_in_full(capsys, school_path):
     rc, out, _ = run(capsys, "ub", school_path, "--bkv", "0.00004",
                      "--format", "csv")
     assert rc == 0
-    assert out.splitlines()[1].split(",")[:3] == ["4e-05", "3", "1.833"]
+    assert out.splitlines()[1].split(",") == ["4e-05", "3", "1.833",
+                                              repr(4e-05 * harmonic(3))]
+    rc, out, _ = run(capsys, "ub", school_path, "--bkv", "0.00004")
+    assert rc == 0
+    assert out == f"mCD 3 harmonic 1.833 UB {4e-05 * harmonic(3)!r}\n"
 
 
 def test_dist_csv(capsys, chvatal_path):

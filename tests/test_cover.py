@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bglab.cover import (_column_masks, _tie_set, brute_force_cover,
                          chvatal_upper_bound, cover_value,
@@ -16,11 +18,12 @@ from bglab.cover import (_column_masks, _tie_set, brute_force_cover,
 from bglab.generators import (gen_random_instance, isomorph_permutation,
                               permute_columns, seeded_rng)
 from bglab.instances import (UNIT, WEIGHTED, BigraphInstance,
-                             UnateRequiredError, compute_stats, parse_cnf)
+                             UnateRequiredError, compute_stats, parse_cnf,
+                             to_incidence_matrix)
 from bglab.library import (chvatal_6_5, school_5_5_iso, school_5_5_ref,
                            school_9_11, two_optima)
 
-from conftest import random_instance
+from conftest import WEIGHT_POOL, random_instance
 
 TINY = parse_cnf("p cnf 1 1\n1 0\n")
 CHVATAL_VALUE = 1 + 1 / 2 + 1 / 3 + 1 / 4 + 1 / 5
@@ -214,6 +217,62 @@ def test_feasibility_dominance_and_bound(rs):
             assert sol.n_ops <= inst.m_rows
             assert sol.value >= optimum - 1e-9
             assert sol.value <= harmonic(m_cd) * optimum + 1e-9
+
+
+@st.composite
+def sized_cover_instances(draw):
+    """A unate instance of 1-60 columns and 1-80 rows of 1-8 columns each,
+    with unit weights or weights from `WEIGHT_POOL`."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 80))
+    rows = tuple(tuple(sorted(row)) for row in draw(st.lists(
+        st.sets(st.integers(1, n), min_size=1, max_size=8),
+        min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        weights = tuple(draw(st.lists(st.sampled_from(WEIGHT_POOL),
+                                      min_size=n, max_size=n)))
+        kind = WEIGHTED
+    else:
+        weights, kind = (1.0,) * n, UNIT
+    return BigraphInstance(name="drawn", n_cols=n, m_rows=m, rows=rows,
+                           col_weights=weights, weight_kind=kind)
+
+
+def milp_optimum(instance) -> float:
+    """Minimum cover weight from HiGHS's branch and bound at a zero gap,
+    an independent solver. Sums of `WEIGHT_POOL` weights are multiples of
+    1/60, far apart next to HiGHS's absolute gap of 1e-6."""
+    optimize = pytest.importorskip("scipy.optimize")
+    result = optimize.milp(
+        instance.col_weights, integrality=np.ones(instance.n_cols),
+        bounds=optimize.Bounds(0, 1),
+        constraints=optimize.LinearConstraint(to_incidence_matrix(instance),
+                                              lb=1),
+        options={"mip_rel_gap": 0})
+    assert result.success
+    coord = tuple(round(x) for x in result.x)
+    assert verify_cover(instance, coord)
+    return cover_value(coord, instance.col_weights)
+
+
+# drawn sizes seldom reach the corner, so it is also given outright
+FULL_SIZE = gen_random_instance(80, 60, 2, 8, seed=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sized_cover_instances(), st.integers(1, 999))
+@example(FULL_SIZE, 7)
+@example(dataclasses.replace(FULL_SIZE, weight_kind=WEIGHTED, col_weights=[
+    WEIGHT_POOL[j % len(WEIGHT_POOL)] for j in range(60)]), 7)
+def test_greedy_within_harmonic_of_milp_optimum(inst, replica_id):
+    optimum = milp_optimum(inst)
+    if inst.n_cols <= 16:
+        assert brute_force_cover(inst)[0] == pytest.approx(optimum, abs=1e-9)
+    bound = harmonic(compute_stats(inst).m_cd) * optimum
+    for sol in (greedy_basic(inst), greedy_stoc(inst, replica_id),
+                greedy_iso(inst, replica_id)):
+        assert verify_cover(inst, sol.coord)
+        assert optimum - 1e-9 <= sol.value <= bound + 1e-9
 
 
 def test_stoc_samples_fall_in_achievable_set(rs):

@@ -16,7 +16,7 @@ from bglab.instances import (UNIT, WEIGHTED, BigraphInstance, ParseError,
                              UnateRequiredError, column_csr, compute_stats,
                              ingest_orlib, parse_cnf, to_incidence_matrix,
                              unate_literals, write_cnf)
-from bglab.library import chvatal_6_5
+from bglab.library import chvatal_6_5, get_builtin
 from bglab.matching import _column_adjacency
 
 from conftest import WEIGHT_POOL, random_instance
@@ -236,8 +236,7 @@ def _assert_literals_match_rows(inst):
     """Every array view of `inst` equals one rebuilt from its rows, and
     the kept arrays are read-only int32."""
     lengths, flat = _fromiter_literals(inst)
-    kept = instances_module._signed_literals(inst)
-    assert kept is instances_module._signed_literals(inst)
+    kept = inst._literals
     for got, want in zip(kept, (lengths, flat)):
         assert got.dtype == np.int32
         assert not got.flags.writeable
@@ -306,14 +305,48 @@ def test_kept_literals_leave_equality_and_repr_alone():
     inst = gen_random_instance(30, 12, 1, 4, seed=4)
     parsed = parse_cnf(write_cnf(inst), name=inst.name)
     assert "_literals" in vars(parsed)
-    assert "_literals" not in vars(inst)
     assert parsed == inst
     assert repr(parsed) == repr(inst)
     assert hash(parsed) == hash(inst)
-    inst.num_edges  # builds and keeps the arrays
-    assert "_literals" in vars(inst)
-    assert parsed == inst
-    assert repr(parsed) == repr(inst)
+
+
+def test_every_maker_holds_literals_when_made(tmp_path):
+    # no maker leaves the arrays to a later read
+    inst = gen_random_instance(30, 12, 1, 4, seed=4)
+    text = write_cnf(inst)
+    orlib = "\n".join(" ".join(tokens) for tokens in _orlib_lines(inst))
+    path = tmp_path / "chvatal.cnfW"
+    path.write_text(CHVATAL_TEXT)
+    makers = [
+        lambda: BigraphInstance(inst.name, inst.n_cols, inst.m_rows,
+                                inst.rows, inst.col_weights, inst.weight_kind),
+        lambda: replace(inst, rows=inst.rows[::-1]),
+        lambda: gen_random_instance(30, 12, 1, 4, seed=4),
+        lambda: get_builtin("school_9_11"),
+        lambda: parse_cnf(text),
+        lambda: ingest_orlib(orlib),
+        lambda: ingest_orlib(orlib, unit_weights=True),
+        lambda: permute_columns(inst, tuple(range(inst.n_cols, 0, -1))),
+        lambda: gen_isomorph(inst, 3)[0],
+        lambda: _load_instance(str(path), unit_weights=True),
+    ]
+    for make in makers:
+        made = make()
+        assert "_literals" in vars(made)
+        _assert_literals_match_rows(made)
+
+
+def test_constructor_normalizes_literals():
+    with pytest.raises(TypeError):
+        BigraphInstance("x", 2, 1, ((1.5,),), (1.0, 1.0), UNIT)
+    with pytest.raises(TypeError):
+        BigraphInstance("x", 2, 1, (("1",),), (1.0, 1.0), UNIT)
+    inst = BigraphInstance("x", 2, 2, ((np.int64(1), np.int32(-2)),
+                                       (True, 2)), (1.0, 1.0), UNIT)
+    assert inst.rows == ((1, -2), (1, 2))
+    assert all(type(lit) is int for row in inst.rows for lit in row)
+    assert parse_cnf(write_cnf(inst), name="x") == inst
+    _assert_literals_match_rows(inst)
 
 
 def test_instance_validation():
