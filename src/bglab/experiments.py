@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,15 +147,23 @@ class BkvRegistry:
 
     def load_file(self, path: str) -> None:
         """Overlay entries from a JSON file: {name: value} or
-        {name: {"value": v, "note": s}}."""
+        {name: {"value": v, "note": s}}, every value a number."""
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected an object of bkv entries")
         for name, entry in data.items():
+            note = ""
             if isinstance(entry, dict):
-                self.register(name, float(entry["value"]),
-                              str(entry.get("note", "")))
-            else:
-                self.register(name, float(entry))
+                note = str(entry.get("note", ""))
+                entry = entry.get("value")
+            # JSON true and false are bools, which are ints to Python; an
+            # int past the float range would overflow `float`
+            if type(entry) not in (int, float) or \
+                    not abs(entry) <= sys.float_info.max:
+                raise ValueError(f"{path}: entry {name!r} is not a finite "
+                                 f"number")
+            self.register(name, float(entry), note)
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries

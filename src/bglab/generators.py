@@ -39,47 +39,24 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    """The first `count + 1` values of a SeedSequence hash constant; hash
-    call j xors its value with the j-th and multiplies it by the next."""
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first `count + 1` values of a SeedSequence hash constant, as a
+    column; hash call j xors its value with the j-th and multiplies it by
+    the next."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    return consts
+    return np.array(consts, np.uint32)[:, None]
 
 
-def _key_schedule() -> np.ndarray:
-    """Every constant operand of `replica_keys`, one row of four per step
-    (one column per pool word), so each step reads a full (4, R) array.
-
-    A mixing stage hashes pool[src] once for every other word, with the
-    next three constants, and mixes the result into that word. The src
-    column of a stage is made an identity: it mixes in nothing (factors 1
-    and 0) and keeps no shifted bits (mask 0).
-    """
-    # one hash call per pool word, then one per (src, dst) pair
-    a = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
-    b = _hash_constants(_INIT_B, _MULT_B, _POOL)
-    rows = [a[:_POOL], a[1:_POOL + 1]]
-    call = _POOL
-    for src in range(_POOL):
-        stage = []
-        for dst in range(_POOL):
-            if dst == src:
-                stage.append((0, 0, 1, 0, 0))
-            else:
-                stage.append((a[call], a[call + 1], _MIX_L, _MIX_R, _MASK32))
-                call += 1
-        rows += zip(*stage)
-    rows += [b[:_POOL], b[1:_POOL + 1], (16,) * _POOL]
-    return np.array(rows, np.uint32)
-
-
-_KEY_SCHEDULE = _key_schedule()
-# Seeds per pass of `replica_keys` and keys per pass of
-# `philox_first_block` and `ReplicaStreams.ranks`; a Philox pass holds about
-# 20 arrays of 2 x 8 bytes per key, and the key schedule 100 x 4 bytes per
-# seed.
+# hash calls 0 .. 3 fill the pool and 4 .. 15 mix it; 0 .. 3 of B make the
+# key's four 32-bit words
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, _POOL)
+# Seeds per pass of `replica_keys` and keys per pass of `philox_words` and
+# `ReplicaStreams.ranks`: a Philox pass holds about 20 arrays of 2 x 8
+# bytes per key and a key pass a dozen of 4 x 4, so a pass stays within a
+# few hundred KB however many seeds a run takes.
 _BLOCK_CHUNK = 1024
 
 
@@ -91,50 +68,50 @@ def replica_keys(seeds) -> np.ndarray:
     seed is at most two 32-bit words, which SeedSequence pads to its pool of
     four with zeros, so uint32 array arithmetic over a (4, R) pool hashes a
     block of seeds at once; the hash constants do not depend on the data.
-    Seeds are taken `_BLOCK_CHUNK` at a time, as in `philox_first_block`.
+    Seeds are taken `_BLOCK_CHUNK` at a time, as in `philox_words`.
     """
     # checked on the Python ints: numpy 1.x wraps -1 to 2**64 - 1 silently
     if not all(0 <= seed < 1 << 64 for seed in seeds):
         raise ValueError("seeds must lie in 0 .. 2**64 - 1")
     s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     keys = np.empty((len(s), 2), np.uint64)
-    consts = _KEY_SCHEDULE[:, :, None].repeat(min(len(s), _BLOCK_CHUNK),
-                                              axis=2)
     for start in range(0, len(s), _BLOCK_CHUNK):
         chunk = s[start:start + _BLOCK_CHUNK]
-        keys[start:start + len(chunk)] = _key_chunk(
-            chunk, consts[:, :, :len(chunk)])
+        keys[start:start + len(chunk)] = _key_chunk(chunk)
     return keys
 
 
-def _key_chunk(seeds: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """`replica_keys` of a chunk, with `_KEY_SCHEDULE` repeated over it.
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash calls j .. j + k - 1, one per row of the result,
+    given the constants j .. j + k as a (k + 1, 1) column."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ value >> 16
 
-    Every constant operand is a full (4, R) array: numpy takes several
-    times longer to broadcast a scalar over a small block.
-    """
-    shift = consts[-1]
+
+def _key_chunk(seeds: np.ndarray) -> np.ndarray:
+    """`replica_keys` of a chunk, in SeedSequence's order of hash calls."""
     pool = np.zeros((_POOL, len(seeds)), np.uint32)
     # each seed's low 32-bit word, then its high one
     pool[:2] = seeds.astype("<u8").view("<u4").reshape(-1, 2).T
-    value = (pool ^ consts[0]) * consts[1]
-    pool = value ^ (value >> shift)
+    pool = _hashmix(pool, _HASH_A[:_POOL + 1])
+    call = _POOL
     for src in range(_POOL):
-        xor, mult, left, right, keep = consts[2 + 5 * src:7 + 5 * src]
-        hashed = (pool[src] ^ xor) * mult
-        hashed ^= hashed >> shift
-        mixed = pool * left - hashed * right
-        pool = mixed ^ (mixed >> shift & keep)
-    value = (pool ^ consts[-3]) * consts[-2]
-    state = value ^ (value >> shift)
+        # every other word mixes in its own hash of this one, in order
+        dst = [d for d in range(_POOL) if d != src]
+        hashed = _hashmix(pool[src], _HASH_A[call:call + _POOL])
+        call += _POOL - 1
+        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
+        pool[dst] = mixed ^ mixed >> 16
+    state = _hashmix(pool, _HASH_B)
     # two 32-bit words per 64-bit key word, low word first
     return np.ascontiguousarray(state.T, "<u4").view("<u8")
 
 
 # Philox4x64-10 (Salmon et al., SC'11): the multipliers of counter words 0
-# and 2, and the key increments.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# and 2, and the key increments, as columns over a (2, R) block.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64)
+_PHILOX_M_HI, _PHILOX_M_LO = _PHILOX_M >> 32, _PHILOX_M & _MASK32
 _PHILOX_ROUNDS = 10
 _WORD = 1 << 32
 # Words a replica takes from its reset generator once it draws past its
@@ -143,24 +120,27 @@ _WORD = 1 << 32
 _REFILL_WORDS = 128
 
 
-def philox_first_block(keys: np.ndarray) -> np.ndarray:
-    """First eight 32-bit words of `seeded_rng` with each Philox key.
+def philox_words(keys: np.ndarray, count: int) -> np.ndarray:
+    """First `count` 32-bit words of `seeded_rng` with each Philox key, for
+    a `count` that is a multiple of 8 (one Philox block).
 
     `keys` has shape (R, 2), as `replica_keys` gives it; the result has
-    shape (R, 8) and row i equals `Philox(key=keys[i]).random_raw(4)`
-    viewed as little-endian uint32. numpy's Philox bumps its counter before
-    it makes a block, so a fresh stream's first block is Philox4x64-10 at
-    counter (1, 0, 0, 0); `next_uint32` hands out the low half of each
-    64-bit output before its high half.
+    shape (R, count) and row i equals `Philox(key=keys[i]).random_raw(count
+    // 2)` viewed as little-endian uint32. numpy's Philox bumps its counter
+    before it makes a block, so a fresh stream's block b (from 0) is
+    Philox4x64-10 at counter (b + 1, 0, 0, 0); `next_uint32` hands out the
+    low half of each 64-bit output before its high half.
 
-    Keys are taken `_BLOCK_CHUNK` at a time, so the temporaries stay a
-    small fraction of the result.
+    Keys are taken `_BLOCK_CHUNK` at a time and blocks one at a time, so
+    the temporaries stay a small fraction of the result.
     """
-    block = np.empty((len(keys), 8), np.uint32)
+    words = np.empty((len(keys), count), np.uint32)
     for start in range(0, len(keys), _BLOCK_CHUNK):
-        stop = start + _BLOCK_CHUNK
-        block[start:stop] = _philox(keys[start:stop], 1)
-    return block
+        chunk = keys[start:start + _BLOCK_CHUNK]
+        for block in range(count // 8):
+            words[start:start + len(chunk), 8 * block:8 * block + 8] = \
+                _philox(chunk, block + 1)
+    return words
 
 
 def _philox(keys: np.ndarray, counter: int) -> np.ndarray:
@@ -170,31 +150,23 @@ def _philox(keys: np.ndarray, counter: int) -> np.ndarray:
 
     The counter is held as two (2, R) arrays, its even words (0, 2) and its
     odd words (1, 3), so each round multiplies both even words at once.
-    Every operand is a full (2, R) array: numpy takes several times longer
-    to broadcast a scalar or a column over a small block.
     """
-    def rows(pair):
-        return np.array(pair, np.uint64)[:, None].repeat(len(keys), axis=1)
-
-    mult, bump = rows(_PHILOX_M), rows(_PHILOX_W)
-    shift, low = rows((32, 32)), rows((_MASK32, _MASK32))
-    m_hi, m_lo = mult >> shift, mult & low
     key = keys.T.copy()
     even = np.zeros_like(key)
     even[0] = counter
     odd = np.zeros_like(key)
     for r in range(_PHILOX_ROUNDS):
         if r:
-            key += bump
+            key += _PHILOX_W
         # high 64 bits of mult * even from 32-bit partial products
         # (Hacker's Delight's mulhu); no sum overflows uint64
-        e_hi, e_lo = even >> shift, even & low
-        t = m_lo * e_hi + (m_lo * e_lo >> shift)
-        u = m_hi * e_lo + (t & low)
-        high = m_hi * e_hi + (t >> shift) + (u >> shift)
+        e_hi, e_lo = even >> 32, even & _MASK32
+        t = _PHILOX_M_LO * e_hi + (_PHILOX_M_LO * e_lo >> 32)
+        u = _PHILOX_M_HI * e_lo + (t & _MASK32)
+        high = _PHILOX_M_HI * e_hi + (t >> 32) + (u >> 32)
         # (c0, c1, c2, c3) -> (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
         #                      hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
-        even, odd = high[::-1] ^ odd ^ key, (mult * even)[::-1]
+        even, odd = high[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
     block = np.stack((even, odd), axis=2).transpose(1, 0, 2)
     return block.reshape(-1, 4).astype("<u8").view("<u4")
 
@@ -257,8 +229,8 @@ class ReplicaStreams:
 
     `draws(i)` gives replica i's bounded draws without a generator: the
     first eight words of every replica's stream come from one vectorized
-    Philox pass (`philox_first_block`, made at the first draw of any
-    replica), and later words from `rng(i)`.
+    Philox pass (`philox_words`, made at the first draw of any replica),
+    and later words from `rng(i)`.
 
     `ranks(n)` gives every replica's column ranks of an `n`-column
     isomorph without a generator, from one vectorized Fisher-Yates pass
@@ -292,19 +264,13 @@ class ReplicaStreams:
         so replica id 0 gets the identity.
 
         The replicas' permutations are drawn `_BLOCK_CHUNK` at a time: the
-        first `_perm_words(n)` words of each stream come from one Philox
-        pass over the chunk's keys per block of 8, and `_fisher_yates`
-        shuffles every row at once. A replica that needs more words takes
-        `rng(i).permutation(n)`.
+        first `_perm_words(n)` words of each stream come from
+        `philox_words`, and `_fisher_yates` shuffles every row at once. A
+        replica that needs more words takes `rng(i).permutation(n)`.
         """
-        words = _perm_words(n)
         for start in range(0, len(self.keys), _BLOCK_CHUNK):
-            keys = self.keys[start:start + _BLOCK_CHUNK]
-            # a pass per block holds the temporaries of one at a time
-            stream = np.empty((len(keys), words), np.uint32)
-            for block in range(words // 8):
-                stream[:, 8 * block:8 * block + 8] = _philox(keys, block + 1)
-            perm, short = _fisher_yates(stream, n)
+            perm, short = _fisher_yates(philox_words(
+                self.keys[start:start + _BLOCK_CHUNK], _perm_words(n)), n)
             rank = np.empty_like(perm)
             np.put_along_axis(rank, perm, np.arange(n, dtype=rank.dtype),
                               axis=1)
@@ -324,7 +290,7 @@ class ReplicaStreams:
         even, and 8 (one Philox block) needs no generator."""
         if count == 8:
             if self._words is None:
-                self._words = philox_first_block(self.keys)
+                self._words = philox_words(self.keys, 8)
             return self._words[i].tolist()
         raw = self.rng(i).bit_generator.random_raw(count // 2)
         return raw.astype("<u8").view("<u4").tolist()
@@ -629,27 +595,32 @@ def _read_table(path: str, cls: type[_Table]) -> _Table:
     """One table from a file `write_movielib` made, read in one pass.
 
     A row whose field count differs from the header's is rejected, with
-    its line number. Integer fields accept what `int()` accepts.
+    its line number, and so is one the csv module rejects, such as a field
+    past its size limit. Integer fields accept what `int()` accepts.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if tuple(header or ()) != cls.HEADER:
-            raise ValueError(f"{path}: bad header {header}")
-        # both tables have four fields
-        columns = ([], [], [], [])
-        add0, add1, add2, add3 = (col.append for col in columns)
-        for row in reader:
-            try:
-                field0, field1, field2, field3 = row
-            except ValueError:
-                raise ValueError(f"{path}: line {reader.line_num} has "
-                                 f"{len(row)} fields, the header "
-                                 f"{len(cls.HEADER)}") from None
-            add0(field0)
-            add1(field1)
-            add2(field2)
-            add3(field3)
+        try:
+            header = next(reader, None)
+            if tuple(header or ()) != cls.HEADER:
+                raise ValueError(f"{path}: bad header {header}")
+            # both tables have four fields
+            columns = ([], [], [], [])
+            add0, add1, add2, add3 = (col.append for col in columns)
+            for row in reader:
+                try:
+                    field0, field1, field2, field3 = row
+                except ValueError:
+                    raise ValueError(f"{path}: line {reader.line_num} has "
+                                     f"{len(row)} fields, the header "
+                                     f"{len(cls.HEADER)}") from None
+                add0(field0)
+                add1(field1)
+                add2(field2)
+                add3(field3)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: "
+                             f"{exc}") from None
     return cls(*(_int_column(col, f"{path}: {title}")
                  if name in cls.INTEGERS else col
                  for name, title, col in zip(cls.RECORD._fields, cls.HEADER,

@@ -118,6 +118,12 @@ class BigraphInstance:
                           _literals=_literals)
         return inst
 
+    def __setstate__(self, state: dict) -> None:
+        # numpy restores unpickled and deep-copied arrays writeable
+        vars(self).update(state)
+        for array in self._literals:
+            array.flags.writeable = False
+
     @property
     def is_unate(self) -> bool:
         return bool(self._literals[1].min() > 0)

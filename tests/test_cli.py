@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import bglab.experiments as experiments
 from bglab.cli import FORMATS, _load_instance, _parse_sizes, main
 from bglab.cover import harmonic
 from bglab.generators import gen_random_instance
@@ -181,6 +182,26 @@ def school_path(tmp_path, capsys):
     assert run(capsys, "gen", "builtin", "--name", "school_9_11", "--out",
                str(path))[0] == 0
     return str(path)
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]", '"abc"', '{"x.cnfU": {"note": "n"}}',
+    '{"x.cnfU": {"value": "4"}}', '{"x.cnfU": null}', '{"x.cnfU": [3]}',
+    '{"x.cnfU": true}', '{"x.cnfU": 1' + "0" * 400 + "}",
+    '{"x.cnfU": NaN}',
+], ids=["list", "string", "no-value", "string-value", "null", "array",
+        "bool", "huge-int", "nan"])
+def test_dist_rejects_bad_registry_file(capsys, monkeypatch, tmp_path,
+                                        school_path, text):
+    path = tmp_path / "bkv.json"
+    path.write_text(text)
+    monkeypatch.setattr(experiments, "_default_registry", None)
+    monkeypatch.setenv(experiments.BKV_REGISTRY_ENV, str(path))
+    rc, out, err = run(capsys, "dist", school_path, "--seeds", "5")
+    assert rc == 2 and out == ""
+    fragment = ("entry 'x.cnfU' is not a finite number" if text[0] == "{"
+                else "expected an object of bkv entries")
+    assert f"{path}: {fragment}" in err
 
 
 BIG = {v: f"{v / 1e-307:.2f}" for v in (1, 4, 5, 6)}
@@ -466,6 +487,25 @@ def test_ragged_watch_row_exits_2(capsys, tmp_path, command, fields):
     assert rc == 2
     assert out == ""
     assert f"watches.csv: line 4 has {fields} fields" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["topk", "hist"])
+def test_oversized_watch_field_exits_2(capsys, tmp_path, command):
+    movies = str(tmp_path / "movies.csv")
+    watches = tmp_path / "watches.csv"
+    rc, _, _ = run(capsys, "movielib", "--size", "5", "--seed", "1",
+                   "--movies", movies, "--watches", str(watches))
+    assert rc == 0
+    lines = watches.read_text().splitlines()
+    # past the csv module's default field limit of 131,072 characters
+    lines[3] = "w3," + "x" * 200_000 + ",2020-01-01,5"
+    watches.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, command, "--movies", movies,
+                       "--watches", str(watches))
+    assert rc == 2
+    assert out == ""
+    assert "watches.csv: line 4: field larger than field limit" in err
     assert "Traceback" not in err
 
 

@@ -10,7 +10,7 @@ from bglab.cover import _SMALL_COLS, brute_force_cover, greedy_basic
 from bglab.generators import (MovieTable, ReplicaStreams, WatchRecord,
                               WatchTable, gen_isomorph, gen_movielib,
                               gen_random_instance, isomorph_permutation,
-                              permute_columns, philox_first_block,
+                              permute_columns, philox_words,
                               read_movielib, replica_keys, seeded_rng,
                               urn_trial, write_movielib)
 from bglab.instances import (UnateRequiredError, compute_stats, parse_cnf,
@@ -82,16 +82,22 @@ def _raw_words(seed: int, count: int) -> list[int]:
 
 
 def test_first_block_equals_philox():
-    block = philox_first_block(replica_keys(KEY_SEEDS))
+    block = philox_words(replica_keys(KEY_SEEDS), 8)
     assert block.shape == (len(KEY_SEEDS), 8)
     assert block.dtype == np.uint32
     for s, row in zip(KEY_SEEDS, block):
         assert row.tolist() == _raw_words(s, 8), s
     seeds = range(10_000)
-    block = philox_first_block(replica_keys(seeds))
+    block = philox_words(replica_keys(seeds), 8)
     assert all(block[s].tolist() == _raw_words(s, 8)
                for s in range(0, 10_000, 7))
-    assert philox_first_block(replica_keys([])).shape == (0, 8)
+    assert philox_words(replica_keys([]), 8).shape == (0, 8)
+    # three blocks of each stream, over keys that straddle one chunk
+    seeds = range(1100)
+    words = philox_words(replica_keys(seeds), 24)
+    assert words.shape == (1100, 24)
+    assert all(words[s].tolist() == _raw_words(s, 24) for s in seeds)
+    assert philox_words(replica_keys([]), 24).shape == (0, 24)
 
 
 def _perm_ranks(n: int, seed: int) -> list[int]:

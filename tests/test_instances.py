@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 from itertools import chain
@@ -334,6 +336,18 @@ def test_every_maker_holds_literals_when_made(tmp_path):
         made = make()
         assert "_literals" in vars(made)
         _assert_literals_match_rows(made)
+
+
+@pytest.mark.parametrize("copy_of", [
+    lambda inst: pickle.loads(pickle.dumps(inst)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"])
+def test_copies_keep_literals_read_only(copy_of):
+    inst = gen_random_instance(30, 12, 1, 4, seed=4)
+    for original in (inst, parse_cnf(write_cnf(inst), name=inst.name)):
+        copied = copy_of(original)
+        assert copied == original
+        _assert_literals_match_rows(copied)
+        _assert_literals_match_rows(original)
 
 
 def test_constructor_normalizes_literals():

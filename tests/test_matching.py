@@ -200,7 +200,7 @@ def unate_instances(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(unate_instances())
 def test_matching_size_equals_hopcroft_karp(inst):
-    # the instance as built makes its literal arrays at first use; the
+    # the instance as built makes its literal arrays from its rows; the
     # parsed copy gets the arrays its reader checked
     result = max_matching(inst)
     assert max_matching(parse_cnf(write_cnf(inst))) == result
