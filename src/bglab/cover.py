@@ -21,6 +21,13 @@ On small instances the engine memoizes each covered-row state's tie set,
 and a random replica draws only at ties of two or more columns, so its
 draw source (a generator, or a distribution run's keystream) is touched
 only when it is needed.
+
+A large distribution run on a small instance does not run its replicas
+one by one: `_StateGraph` holds the covered-row states they reach, each
+with its tie set and the state every tied column leads to, and `walk`
+moves a chunk of replicas through it in numpy lockstep, one pick per
+step, each lane choosing its column by its own draw or rank. A lane that
+cannot go on there finishes in the engine's own loop.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -184,10 +191,11 @@ class _Engine:
     one column array per row.
 
     An engine is built for one tie tolerance, checked once by the build.
-    The bitmask loop looks each covered-row state's tie set up in
-    `tie_memo`, keyed by the state alone, so a state's rates are computed
-    once per engine, not once per replica. Past its build the engine is only
-    read, the memo apart; whatever a replica varies is an argument of `run`.
+    The bitmask loop and a walk's `_StateGraph` take each covered-row
+    state's tie set from `ties`, which keeps it in `tie_memo`, keyed by the
+    state alone, so a state's rates are computed once per engine, not once
+    per replica. Past its build the engine is only read, the memo apart;
+    whatever a replica varies is an argument of `run`.
 
     A run scans columns in reference order unless it is given an isomorph's
     column order; ties resolve to the first tied column in that order and
@@ -239,29 +247,27 @@ class _Engine:
 
         `order` (runs without `rng` only) scans the columns in an
         isomorph's order: as `permuted` returns it, or on the bitmask path
-        as `ReplicaStreams.ranks` yields it.
+        as a row of a `ReplicaStreams.ranks` matrix, as a list.
         """
         if self.small:
             return self._run_small(rng, order)
         return self._run_vectorized(rng, order)
 
-    def _run_small(self, rng,
-                   rank: list[int] | None) -> tuple[list[int], int]:
+    def _run_small(self, rng, rank: list[int] | None, cov: int = 0,
+                   coord: list[int] | None = None) -> tuple[list[int], int]:
+        """The bitmask loop; a walked lane that leaves its walk goes on
+        from the rows `cov` it covers with the columns `coord` it picked,
+        and `n_ops` counts the picks made here."""
         masks = self.col_masks
         memo = self.tie_memo
         full = self.full
-        cov = 0
-        coord = [0] * self.n
+        if coord is None:
+            coord = [0] * self.n
         n_ops = 0
         while cov != full:
             ties = memo.get(cov)
             if ties is None:
-                ties = _tie_set(masks, self.weights_list, full ^ cov,
-                                self.tie_tol)
-                if not ties:
-                    raise ValueError("uncoverable rows remain")
-                if len(memo) < _TIE_MEMO_STATES:
-                    memo[cov] = ties
+                ties = self.ties(cov)
             j = ties[0]
             if len(ties) > 1:
                 if rng is not None:
@@ -273,6 +279,19 @@ class _Engine:
             coord[j] = 1
             n_ops += 1
         return coord, n_ops
+
+    def ties(self, cov: int) -> tuple[int, ...]:
+        """Tie set of the covered-row state `cov` (bitmask path; some row
+        uncovered), from `tie_memo` or computed and, under the cap, kept."""
+        ties = self.tie_memo.get(cov)
+        if ties is None:
+            ties = _tie_set(self.col_masks, self.weights_list,
+                            self.full ^ cov, self.tie_tol)
+            if not ties:
+                raise ValueError("uncoverable rows remain")
+            if len(self.tie_memo) < _TIE_MEMO_STATES:
+                self.tie_memo[cov] = ties
+        return ties
 
     def _run_vectorized(self, rng,
                         order: np.ndarray | None) -> tuple[list[int], int]:
@@ -311,6 +330,157 @@ class _Engine:
                 coord[j] = 1
                 n_ops += 1
         return coord, n_ops
+
+
+class _LaneError(Exception):
+    """A walk's failure, raised from the error of the lane `lane` that met
+    it first."""
+
+    def __init__(self, lane: int):
+        super().__init__(lane)
+        self.lane = lane
+
+
+class _StateGraph:
+    """The covered-row states a bitmask engine's replicas reach, added as
+    the lanes of a lockstep walk first reach them.
+
+    State 0 covers no row. State s holds its covered rows (`covs[s]`) and
+    its tie set from the engine's `ties` (`tie_sets[s]`, empty when it
+    covers every row); for the walk's numpy steps, `nties[s]`, `final[s]`,
+    `ties[s]` (the tie set padded with its first column) and `follow[s]`
+    (the state each tied column leads to, -1 until a lane takes it). The
+    states a step reaches first are added in Python and their array rows
+    written at once (`_write`). The graph holds at most `_TIE_MEMO_STATES`
+    states; a lane that would pass the cap leaves the walk.
+    """
+
+    def __init__(self, engine: _Engine):
+        self.engine = engine
+        n = engine.n
+        self.index: dict[int, int] = {}
+        self.covs: list[int] = []
+        self.tie_sets: list[tuple[int, ...]] = []
+        self.written = 0
+        self.nties = np.zeros(0, np.intp)
+        self.final = np.zeros(0, bool)
+        self.ties = np.zeros((0, n), np.int32)
+        self.follow = np.zeros((0, n), np.int32)
+        # column j's bit in a lane's picked set of one or two uint64 words
+        self.bits = np.zeros((n, 1 if n <= 64 else 2), np.uint64)
+        for j in range(n):
+            self.bits[j, j >> 6] = 1 << (j & 63)
+
+    def _state(self, cov: int) -> int:
+        """The state that covers `cov`, added if new; -1 past the cap."""
+        s = self.index.get(cov)
+        if s is None:
+            s = len(self.covs)
+            if s >= _TIE_MEMO_STATES:
+                return -1
+            self.tie_sets.append(
+                () if cov == self.engine.full else self.engine.ties(cov))
+            self.index[cov] = s
+            self.covs.append(cov)
+        return s
+
+    def _write(self) -> None:
+        """Write the array rows of the states added since the last write,
+        growing the arrays to at least twice their rows when they are
+        full."""
+        start, end = self.written, len(self.covs)
+        if start == end:
+            return
+        if end > len(self.final):
+            extra = max(64, end, 2 * len(self.final)) - len(self.final)
+            n = self.engine.n
+            self.nties = np.concatenate([self.nties, np.zeros(extra,
+                                                              np.intp)])
+            self.final = np.concatenate([self.final, np.zeros(extra, bool)])
+            self.ties = np.concatenate([self.ties,
+                                        np.zeros((extra, n), np.int32)])
+            self.follow = np.concatenate([self.follow,
+                                          np.full((extra, n), -1, np.int32)])
+        new = self.tie_sets[start:end]
+        counts = np.fromiter(map(len, new), np.intp, len(new))
+        flat = np.fromiter(chain.from_iterable(new), np.int32,
+                           int(counts.sum()))
+        firsts = np.cumsum(counts) - counts
+        self.nties[start:end] = counts
+        self.final[start:end] = counts == 0
+        live = np.flatnonzero(counts) + start
+        self.ties[live] = flat[firsts[counts > 0], None]
+        self.ties[np.repeat(np.arange(start, end), counts),
+                  np.arange(len(flat)) - np.repeat(firsts, counts)] = flat
+        self.written = end
+
+    def walk(self, lanes: int, choose) -> tuple[np.ndarray, dict[int, int]]:
+        """Walk `lanes` replicas from state 0 in lockstep, one pick per
+        step; returns every lane's picked columns as bits (`lanes` rows of
+        `bits`' width) and, for each lane that left the walk, the rows it
+        covered when it left.
+
+        `choose(act, at)` gives, for the lanes `act` (ascending) at the
+        states `at`, the position in its tie set of the column each lane
+        picks, or -1 for a lane that leaves the walk there. A state that
+        fails to build raises `_LaneError` for the first lane to reach it.
+        """
+        sets = np.zeros((lanes, self.bits.shape[1]), np.uint64)
+        try:
+            root = self._state(0)
+        except Exception as exc:
+            raise _LaneError(0) from exc
+        if root < 0:
+            return sets, dict.fromkeys(range(lanes), 0)
+        self._write()
+        left: dict[int, int] = {}
+        act = np.arange(lanes)
+        at = np.full(lanes, root)
+        while act.size:
+            pick = choose(act, at)
+            stay = pick >= 0
+            if not stay.all():
+                for lane, s in zip(act[~stay].tolist(), at[~stay].tolist()):
+                    left[lane] = self.covs[s]
+                act, at, pick = act[stay], at[stay], pick[stay]
+            col = self.ties[at, pick]
+            sets[act] |= self.bits[col]
+            nxt = self.follow[at, pick]
+            new = np.flatnonzero(nxt < 0)
+            if new.size:
+                nxt[new] = self._follow(act[new], at[new], pick[new])
+                stay = nxt >= 0
+                if not stay.all():
+                    masks = self.engine.col_masks
+                    for lane, s, j in zip(act[~stay].tolist(),
+                                          at[~stay].tolist(),
+                                          col[~stay].tolist()):
+                        left[lane] = self.covs[s] | masks[j]
+                    act, nxt = act[stay], nxt[stay]
+            live = ~self.final[nxt]
+            act, at = act[live], nxt[live]
+        return sets, left
+
+    def _follow(self, act: np.ndarray, at: np.ndarray,
+                pick: np.ndarray) -> np.ndarray:
+        """`follow[at, pick]` of the lanes `act`, adding the states no lane
+        has reached yet, the first lane's first."""
+        n = self.engine.n
+        masks = self.engine.col_masks
+        keys, first = np.unique(at * n + pick, return_index=True)
+        order = np.argsort(first)
+        keys, first = keys[order], first[order]
+        found = []
+        for key, lane in zip(keys.tolist(), first.tolist()):
+            s, k = divmod(key, n)
+            try:
+                found.append(self._state(
+                    self.covs[s] | masks[self.tie_sets[s][k]]))
+            except Exception as exc:
+                raise _LaneError(int(act[lane])) from exc
+        self._write()
+        self.follow[keys // n, keys % n] = found
+        return self.follow[at, pick]
 
 
 def _solution(engine: _Engine, coord: list[int], n_ops: int,

@@ -16,9 +16,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import cover
 from .formatting import fmt_fixed, fmt_number
-from .generators import ReplicaStreams, isomorph_permutation, seeded_rng
+from .generators import (_BLOCK_CHUNK, ReplicaStreams, bounded_draws,
+                         isomorph_permutation, seeded_rng)
 from .instances import UNIT, BigraphInstance
 
 SOLVERS = ("stoc", "iso")
@@ -147,9 +150,13 @@ class BkvRegistry:
 
     def load_file(self, path: str) -> None:
         """Overlay entries from a JSON file: {name: value} or
-        {name: {"value": v, "note": s}}, every value a number."""
+        {name: {"value": v, "note": s}}, every value a number > 0. Every
+        error names the file."""
         with open(path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected an object of bkv entries")
         for name, entry in data.items():
@@ -163,7 +170,10 @@ class BkvRegistry:
                     not abs(entry) <= sys.float_info.max:
                 raise ValueError(f"{path}: entry {name!r} is not a finite "
                                  f"number")
-            self.register(name, float(entry), note)
+            try:
+                self.register(name, float(entry), note)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -261,17 +271,32 @@ def _check_ratios(largest: float, bkv: float) -> None:
             f"the ratio of {largest} to bkv {bkv} overflows a float")
 
 
-# An iso distribution run of at least this many seeds on the bitmask path
-# takes its replicas' column ranks from the block keystream
-# (`ReplicaStreams.ranks`); a smaller one takes a per-replica permutation
-# turned into an order by `permuted`. Whole runs' time with per-replica
-# permutations over time with keystream ranks, two sets of best-of-5
-# interleaved runs on one host (2 vCPUs of a shared Xeon, Python 3.11.7,
-# numpy 2.4.6), at 256 / 512 / 2,048 seeds: 1.37-1.50 / 1.58-1.75 /
-# 1.73-1.79 at 9 columns (`school_9_11`), then on random 100-row instances
-# 0.97-1.14 / 1.30-1.37 / 1.41-1.54 at 16, 0.85-0.90 / 1.02-1.14 /
-# 1.13-1.22 at 32, 0.77 / 0.92-0.95 / 1.06-1.10 at 48, and 0.72-0.74 /
-# 0.67-1.01 / 0.80-0.91 at 96 and 128.
+# A distribution run of at least this many seeds on the bitmask path walks
+# its replicas over the covered-row state graph (`_walk_replicas`), stoc
+# and iso alike; a smaller one runs them one by one. Whole runs' time one
+# by one over time walked, three sets of best-of-5 interleaved runs (random
+# mode, meta seed 3) on one host (2 vCPUs of a shared Xeon, Python 3.11.7,
+# numpy 2.4.6); 9 columns is `school_9_11`, n columns is
+# `gen_random_instance(100, n, max(1, n // 10), max(2, n // 5), seed=7)`,
+# and m* 50 and m* 100 are the paper's seed-7 shapes of those widths (one
+# and six):
+#
+#   columns  stoc 256 / 512 / 2,048 seeds     iso 256 / 512 / 2,048 seeds
+#   9        1.09-1.24 1.37-1.69 2.74-3.28    1.53-1.83 2.25-2.62 3.67-3.83
+#   16       0.91-1.06 1.16-1.42 1.85-1.91    0.98-1.27 1.59-1.99 2.50-3.09
+#   32       0.94-1.27 1.48-1.76 2.41-2.99    1.17-1.25 1.22-1.64 2.24-2.40
+#   48       0.88-0.94 1.16-1.28 1.82-1.93    0.89-0.96 1.01-1.61 1.60-1.92
+#   64       0.84-0.92 0.92-1.01 0.81-1.41    0.83-0.86 1.03-1.12 0.93-1.69
+#   96       0.93-0.96 1.13-1.18 1.72-2.11    0.76-0.82 0.90-1.06 1.07-1.24
+#   128      0.91-0.99 1.10-1.20 1.76-1.89    0.62-1.04 0.81-0.91 0.93-1.06
+#   m* 50              1.48-1.87 2.85-3.40              1.13-1.35 1.66-1.84
+#   m* 100             0.75-1.60 0.97-3.18              0.85-1.34 0.96-1.49
+#
+# At 256 seeds the walk loses from 48 columns up. At 512 it loses iso from
+# 96 columns (medians 0.90-0.96 on the 100-column m* shapes), where the
+# keystream's ranks cost about 20 us a replica against about 5 us for a
+# reset generator's permutation, and stoc on m100_100_10_10 (0.97). At
+# 2,048 every median is 1.01 or more but iso's at 128 columns (0.94).
 _ISO_BLOCK_SEEDS = 512
 
 
@@ -289,13 +314,17 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
     statistics appear when a best-known value is supplied or registered.
 
     Every replica draws from the stream `seeded_rng(replica_id)` would give
-    it, reached through one `ReplicaStreams` for the block: a stoc replica
-    draws its tie-breaks from the block's keystream (`draws`), and only at
-    ties of two or more columns. An iso replica of a large block on the
-    bitmask path takes its column ranks from the keystream (`ranks`); any
-    other iso replica draws its permutation from a generator reset to its
-    stream and turns it into an order with `permuted`. Either order goes
-    to the engine's run. A replica contributes only its value.
+    it, reached through one `ReplicaStreams` for the block. A run of at
+    least `_ISO_BLOCK_SEEDS` seeds on the bitmask path walks its replicas
+    together over the covered-row states they reach (`_walk_replicas`): a
+    stoc lane draws its tie-breaks from the first 8 words of its stream,
+    an iso lane reads its column ranks from the block's rank matrices
+    (`ranks`). Any other run goes replica by replica through the engine's
+    run: a stoc replica draws from the block's keystream (`draws`), only
+    at ties of two or more columns, and an iso replica draws its
+    permutation from a generator reset to its stream and turns it into an
+    order with `permuted`. Either way a replica contributes only its
+    value, and the histogram is the same.
     """
     if num_seeds < 1:
         raise ValueError("num_seeds must be >= 1")
@@ -309,30 +338,17 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
         seeds = range(1, num_seeds + 1)
     else:
         meta = seeded_rng(meta_seed)
-        seeds = [int(s) for s in meta.integers(0, 10**6, size=num_seeds)]
+        seeds = meta.integers(0, 10**6, size=num_seeds).tolist()
 
     engine = cover._Engine(instance, tie_tol)
-    weights = instance.col_weights
     streams = ReplicaStreams(seeds)
-    ranks = None
-    if solver == "iso" and engine.small and num_seeds >= _ISO_BLOCK_SEEDS:
-        ranks = streams.ranks(engine.n)
     histogram: dict[float, int] = {}
-    for i, rid in enumerate(seeds):
-        try:
-            if solver == "stoc":
-                # replica 0 is the basic greedy: it draws nothing
-                coord, _ = engine.run(streams.draws(i) if rid else None)
-            else:
-                order = next(ranks) if ranks is not None else engine.permuted(
-                    isomorph_permutation(instance.n_cols, rid, streams.rng(i)))
-                coord, _ = engine.run(None, order)
-        except Exception as exc:
-            raise RuntimeError(
-                f"{instance.name}: solver {solver} failed on replica "
-                f"{rid}: {exc}") from exc
-        value = cover.cover_value(coord, weights)
-        histogram[value] = histogram.get(value, 0) + 1
+    if engine.small and num_seeds >= _ISO_BLOCK_SEEDS:
+        _walk_replicas(instance, engine, streams, solver, histogram)
+    else:
+        for i in range(num_seeds):
+            _count(histogram, _replica_value(instance, engine, streams,
+                                             solver, i))
     if math.inf in histogram:
         raise ValueError(f"{instance.name}: {cover._OVERFLOW}")
 
@@ -344,6 +360,145 @@ def run_cover_distribution(instance: BigraphInstance, num_seeds: int,
                                num_seeds=num_seeds, solver=solver,
                                value_histogram=histogram, stats=stats,
                                bkv=bkv, ratio_stats=ratios)
+
+
+def _count(histogram: dict[float, int], value: float, count: int = 1):
+    histogram[value] = histogram.get(value, 0) + count
+
+
+def _replica_value(instance: BigraphInstance, engine: cover._Engine,
+                   streams: ReplicaStreams, solver: str, i: int) -> float:
+    """Replica i's value, from the engine's run; an iso replica draws its
+    permutation from its own generator."""
+    rid = streams.seeds[i]
+    try:
+        if solver == "stoc":
+            # replica 0 is the basic greedy: it draws nothing
+            coord, _ = engine.run(streams.draws(i) if rid else None)
+        else:
+            coord, _ = engine.run(None, engine.permuted(isomorph_permutation(
+                instance.n_cols, rid, streams.rng(i))))
+    except Exception as exc:
+        raise _replica_error(instance, solver, rid, exc) from exc
+    return cover.cover_value(coord, instance.col_weights)
+
+
+def _replica_error(instance: BigraphInstance, solver: str, rid: int,
+                   exc: Exception) -> RuntimeError:
+    return RuntimeError(f"{instance.name}: solver {solver} failed on "
+                        f"replica {rid}: {exc}")
+
+
+def _walk_replicas(instance: BigraphInstance, engine: cover._Engine,
+                   streams: ReplicaStreams, solver: str,
+                   histogram: dict[float, int]) -> None:
+    """Count every replica's value into `histogram` by walking the
+    replicas `_BLOCK_CHUNK` lanes at a time over one `_StateGraph`.
+
+    A stoc lane draws its tie-breaks from the first 8 words of its stream
+    (`bounded_draws`), and an iso lane takes the tied column of least rank
+    in its row of `ranks`. A lane that would draw a ninth word or pass the
+    graph's cap leaves the walk and goes on through the engine's loop from
+    where it left. A picked set's value is summed once, by `cover_value`.
+    """
+    graph = cover._StateGraph(engine)
+    seeds = streams.seeds
+    ranks = streams.ranks(engine.n) if solver == "iso" else None
+    values: dict[tuple[int, ...], float] = {}
+    for start in range(0, len(seeds), _BLOCK_CHUNK):
+        block = seeds[start:start + _BLOCK_CHUNK]
+        lanes = (_StocLanes(graph, streams, start, block) if ranks is None
+                 else _IsoLanes(graph, next(ranks)))
+        try:
+            sets, left = graph.walk(len(block), lanes)
+        except cover._LaneError as err:
+            raise _replica_error(instance, solver, block[err.lane],
+                                 err.__cause__) from err.__cause__
+        gone = sorted(left)
+        for i, coord in zip(gone, _coords(sets[gone], engine.n)):
+            try:
+                coord, _ = lanes.finish(engine, i, left[i], coord)
+            except Exception as exc:
+                raise _replica_error(instance, solver, block[i],
+                                     exc) from exc
+            _count(histogram, cover.cover_value(coord, instance.col_weights))
+        done = np.ones(len(block), bool)
+        done[gone] = False
+        rows, counts = _distinct_sets(sets[done])
+        keys = [tuple(row) for row in rows.tolist()]
+        new = [d for d, key in enumerate(keys) if key not in values]
+        for d, coord in zip(new, _coords(rows[new], engine.n)):
+            values[keys[d]] = cover.cover_value(coord, instance.col_weights)
+        for key, count in zip(keys, counts.tolist()):
+            _count(histogram, values[key], count)
+
+
+def _coords(sets: np.ndarray, n: int) -> list[list[int]]:
+    """The 0/1 coord of each row of picked-column bits."""
+    return np.unpackbits(sets.astype("<u8").view(np.uint8), axis=1,
+                         bitorder="little")[:, :n].tolist()
+
+
+class _StocLanes:
+    """The stoc lanes of a walk over the replicas `start` + i of `block`:
+    a lane draws at a tie of two or more columns, replica id 0 never."""
+
+    def __init__(self, graph: cover._StateGraph, streams: ReplicaStreams,
+                 start: int, block):
+        self.graph, self.streams, self.start = graph, streams, start
+        self.draws = np.asarray(block) != 0
+        self.pos = np.zeros(len(block), np.intp)
+
+    def __call__(self, act: np.ndarray, at: np.ndarray) -> np.ndarray:
+        k = self.graph.nties[at]
+        pick = np.zeros(len(act), np.intp)
+        tie = np.flatnonzero((k > 1) & self.draws[act])
+        if tie.size:
+            pick[tie] = bounded_draws(self.streams.first_words(self.start),
+                                      self.pos, act[tie], k[tie])
+        return pick
+
+    def finish(self, engine: cover._Engine, i: int, cov: int,
+               coord: list[int]) -> tuple[list[int], int]:
+        rng = self.streams.draws(self.start + i, int(self.pos[i])) \
+            if self.draws[i] else None
+        return engine._run_small(rng, None, cov, coord)
+
+
+class _IsoLanes:
+    """The iso lanes of a walk, one row of `rank` each: a lane takes its
+    tied column of least rank."""
+
+    def __init__(self, graph: cover._StateGraph, rank: np.ndarray):
+        self.graph, self.rank = graph, rank
+
+    def __call__(self, act: np.ndarray, at: np.ndarray) -> np.ndarray:
+        wide = int(self.graph.nties[at].max())
+        if wide == 1:
+            return np.zeros(len(act), np.intp)
+        # a tie set's padding repeats its first column, which argmin
+        # reports at its first position
+        return self.rank[act[:, None],
+                         self.graph.ties[at, :wide]].argmin(axis=1)
+
+    def finish(self, engine: cover._Engine, i: int, cov: int,
+               coord: list[int]) -> tuple[list[int], int]:
+        return engine._run_small(None, self.rank[i].tolist(), cov, coord)
+
+
+def _distinct_sets(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `sets` and how often each occurs, counted by a
+    1-D key: the word itself, or for two words the pair of their ranks
+    among each column's distinct words."""
+    if not len(sets):
+        return sets, np.zeros(0, np.intp)
+    key = sets[:, 0]
+    if sets.shape[1] == 2:
+        low = np.unique(key, return_inverse=True)[1].reshape(-1)
+        high = np.unique(sets[:, 1], return_inverse=True)[1].reshape(-1)
+        key = low * (int(high.max()) + 1) + high
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return sets[first], counts
 
 
 def converge_check(instance: BigraphInstance, seed_counts, solver: str,

@@ -71,7 +71,7 @@ def replica_keys(seeds) -> np.ndarray:
     Seeds are taken `_BLOCK_CHUNK` at a time, as in `philox_words`.
     """
     # checked on the Python ints: numpy 1.x wraps -1 to 2**64 - 1 silently
-    if not all(0 <= seed < 1 << 64 for seed in seeds):
+    if len(seeds) and not (0 <= min(seeds) and max(seeds) < 1 << 64):
         raise ValueError("seeds must lie in 0 .. 2**64 - 1")
     s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     keys = np.empty((len(s), 2), np.uint64)
@@ -114,6 +114,7 @@ _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64)
 _PHILOX_M_HI, _PHILOX_M_LO = _PHILOX_M >> 32, _PHILOX_M & _MASK32
 _PHILOX_ROUNDS = 10
 _WORD = 1 << 32
+_WORD64, _LOW32 = np.uint64(_WORD), np.uint64(_MASK32)
 # Words a replica takes from its reset generator once it draws past its
 # first block: one refill holds what a replica on a 400 x 4000 OR-library
 # instance draws (up to about 80 words), and a reset costs several draws.
@@ -131,22 +132,24 @@ def philox_words(keys: np.ndarray, count: int) -> np.ndarray:
     Philox4x64-10 at counter (b + 1, 0, 0, 0); `next_uint32` hands out the
     low half of each 64-bit output before its high half.
 
-    Keys are taken `_BLOCK_CHUNK` at a time and blocks one at a time, so
-    the temporaries stay a small fraction of the result.
+    Keys are taken `_BLOCK_CHUNK` at a time, each chunk's blocks in one
+    pass, so the temporaries stay a few times one chunk's words.
     """
+    blocks = count // 8
+    counters = np.arange(1, blocks + 1, dtype=np.uint64)
     words = np.empty((len(keys), count), np.uint32)
     for start in range(0, len(keys), _BLOCK_CHUNK):
         chunk = keys[start:start + _BLOCK_CHUNK]
-        for block in range(count // 8):
-            words[start:start + len(chunk), 8 * block:8 * block + 8] = \
-                _philox(chunk, block + 1)
+        words[start:start + len(chunk)] = _philox(
+            np.repeat(chunk, blocks, axis=0),
+            np.tile(counters, len(chunk))).reshape(len(chunk), count)
     return words
 
 
-def _philox(keys: np.ndarray, counter: int) -> np.ndarray:
+def _philox(keys: np.ndarray, counter) -> np.ndarray:
     """Philox4x64-10 of each key at counter (counter, 0, 0, 0), as eight
     32-bit words per key: the block a fresh stream makes after
-    `counter - 1` others.
+    `counter - 1` others; `counter` is one for all keys or one per key.
 
     The counter is held as two (2, R) arrays, its even words (0, 2) and its
     odd words (1, 3), so each round multiplies both even words at once.
@@ -193,28 +196,30 @@ def _fisher_yates(words: np.ndarray, n: int) -> tuple[np.ndarray,
     zero is never drawn again it reads at most one pad word per step.
     """
     r, held = words.shape
-    stride = held + n - 1
-    flat = np.zeros((r, stride), np.uint32)
-    flat[:, :held] = words
+    # word w of row i, and entry c of its permutation, at flat index
+    # w * r + i: a step's reads and swaps touch one contiguous row
+    flat = np.zeros((held + n - 1, r), np.uint32)
+    flat[:held] = words.T
     flat = flat.reshape(-1)
     rows = np.arange(r)
-    pos = rows * stride
-    perm = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (r, 1))
+    pos = rows.copy()
+    perm = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), r)
     for i in range(n - 1, 0, -1):
         mask = (1 << i.bit_length()) - 1
         j = flat[pos] & mask
-        pos += 1
+        pos += r
         redo = np.flatnonzero(j > i)
         while redo.size:
             at = pos[redo]
             again = flat[at] & mask
-            pos[redo] = at + 1
+            pos[redo] = at + r
             j[redo] = again
             redo = redo[again > i]
-        top = perm[:, i].copy()
-        perm[:, i] = perm[rows, j]
-        perm[rows, j] = top
-    return perm, pos - rows * stride > held
+        swap = j * r + rows
+        top = perm[i * r:(i + 1) * r].copy()
+        perm[i * r:(i + 1) * r] = perm[swap]
+        perm[swap] = top
+    return perm.reshape(n, r).T, pos - rows > held * r
 
 
 class ReplicaStreams:
@@ -228,19 +233,20 @@ class ReplicaStreams:
     returned.
 
     `draws(i)` gives replica i's bounded draws without a generator: the
-    first eight words of every replica's stream come from one vectorized
-    Philox pass (`philox_words`, made at the first draw of any replica),
-    and later words from `rng(i)`.
+    first eight words of the streams of each chunk of `_BLOCK_CHUNK`
+    replicas come from one vectorized Philox pass (`first_words`, made at
+    the first draw of a replica of that chunk), and later words from
+    `rng(i)`. A walk draws from `first_words` itself (`bounded_draws`).
 
-    `ranks(n)` gives every replica's column ranks of an `n`-column
-    isomorph without a generator, from one vectorized Fisher-Yates pass
-    over each chunk of replicas.
+    `ranks(n)` gives the column ranks of every replica's `n`-column
+    isomorph without a generator, one matrix per chunk of replicas, from
+    one vectorized Fisher-Yates pass each.
     """
 
     def __init__(self, seeds):
         self.seeds = seeds
         self.keys = replica_keys(seeds)
-        self._words: np.ndarray | None = None
+        self._block: tuple[int, np.ndarray] | None = None
         self._generator: np.random.Generator | None = None
         self._state = {"bit_generator": "Philox",
                        "state": {"counter": np.zeros(4, np.uint64),
@@ -255,43 +261,49 @@ class ReplicaStreams:
         self._generator.bit_generator.state = self._state
         return self._generator
 
-    def draws(self, i: int) -> "ReplicaDraws":
-        return ReplicaDraws(self, i)
+    def draws(self, i: int, pos: int = 0) -> "ReplicaDraws":
+        """Replica i's draws from word `pos` of its stream on."""
+        return ReplicaDraws(self, i, pos)
 
-    def ranks(self, n: int) -> Iterator[list[int]]:
-        """Replica by replica, the rank list of `isomorph_permutation(n,
-        seeds[i])`: rank[c] is the 0-based position of column c + 1 in it,
-        so replica id 0 gets the identity.
+    def ranks(self, n: int) -> Iterator[np.ndarray]:
+        """Chunk by chunk of `_BLOCK_CHUNK` replicas, the rank matrix of
+        their `isomorph_permutation(n, seeds[i])`: rank[i, c] is the
+        0-based position of column c + 1 in replica i's permutation, so
+        replica id 0 gets the identity.
 
-        The replicas' permutations are drawn `_BLOCK_CHUNK` at a time: the
-        first `_perm_words(n)` words of each stream come from
+        The first `_perm_words(n)` words of each stream come from
         `philox_words`, and `_fisher_yates` shuffles every row at once. A
         replica that needs more words takes `rng(i).permutation(n)`.
         """
         for start in range(0, len(self.keys), _BLOCK_CHUNK):
             perm, short = _fisher_yates(philox_words(
                 self.keys[start:start + _BLOCK_CHUNK], _perm_words(n)), n)
-            rank = np.empty_like(perm)
+            rank = np.empty(perm.shape, perm.dtype)
             np.put_along_axis(rank, perm, np.arange(n, dtype=rank.dtype),
                               axis=1)
-            ranks = rank.tolist()
-            identity = [i for i, seed in enumerate(
-                self.seeds[start:start + _BLOCK_CHUNK]) if seed == 0]
+            identity = np.flatnonzero(
+                np.asarray(self.seeds[start:start + _BLOCK_CHUNK]) == 0)
             short[identity] = False
             for i in np.flatnonzero(short).tolist():
-                ranks[i] = np.argsort(
-                    self.rng(start + i).permutation(n)).tolist()
-            for i in identity:
-                ranks[i] = list(range(n))
-            yield from ranks
+                rank[i] = np.argsort(self.rng(start + i).permutation(n))
+            rank[identity] = np.arange(n)
+            yield rank
+
+    def first_words(self, start: int) -> np.ndarray:
+        """The first 8 words (one Philox block) of the streams of replicas
+        `start` .. `start + _BLOCK_CHUNK - 1`, for a `start` that is a
+        multiple of `_BLOCK_CHUNK`; the last chunk asked for is kept."""
+        if self._block is None or self._block[0] != start:
+            self._block = (start, philox_words(
+                self.keys[start:start + _BLOCK_CHUNK], 8))
+        return self._block[1]
 
     def words(self, i: int, count: int) -> list[int]:
         """The first `count` 32-bit words of replica i's stream; `count` is
         even, and 8 (one Philox block) needs no generator."""
         if count == 8:
-            if self._words is None:
-                self._words = philox_words(self.keys, 8)
-            return self._words[i].tolist()
+            start = i - i % _BLOCK_CHUNK
+            return self.first_words(start)[i - start].tolist()
         raw = self.rng(i).bit_generator.random_raw(count // 2)
         return raw.astype("<u8").view("<u4").tolist()
 
@@ -310,11 +322,11 @@ class ReplicaDraws:
 
     __slots__ = ("_streams", "_i", "_words", "_pos")
 
-    def __init__(self, streams: ReplicaStreams, i: int):
+    def __init__(self, streams: ReplicaStreams, i: int, pos: int = 0):
         self._streams = streams
         self._i = i
-        self._words: list[int] = []
-        self._pos = 0
+        self._words: list[int] = streams.words(i, 8) if pos else []
+        self._pos = pos
 
     def _next_word(self) -> int:
         pos = self._pos
@@ -334,6 +346,34 @@ class ReplicaDraws:
             while m & _MASK32 < threshold:
                 m = self._next_word() * k
         return m >> 32
+
+
+def bounded_draws(words: np.ndarray, pos: np.ndarray, rows: np.ndarray,
+                  bounds: np.ndarray) -> np.ndarray:
+    """`integers(bounds[i])` of the stream of row `rows[i]` of `words`,
+    taken as `ReplicaDraws.integers` takes it, for distinct rows and bounds
+    in 2 .. 2^32 - 1.
+
+    Row r draws from word `pos[r]` on, and `pos[r]` moves past the words
+    its draw used; a row that would draw past its last word gets -1.
+    """
+    bounds = bounds.astype(np.uint64)
+    m = np.zeros(len(rows), np.uint64)
+    short = np.zeros(len(rows), bool)
+    todo = np.arange(len(rows))
+    while todo.size:
+        at = pos[rows[todo]]
+        held = at < words.shape[1]
+        if not held.all():
+            short[todo[~held]] = True
+            todo, at = todo[held], at[held]
+        r, k = rows[todo], bounds[todo]
+        m[todo] = words[r, at] * k
+        pos[r] = at + 1
+        todo = todo[m[todo] & _LOW32 < (_WORD64 - k) % k]
+    draws = (m >> np.uint64(32)).astype(np.intp)
+    draws[short] = -1
+    return draws
 
 
 def gen_random_instance(m_rows: int, n_cols: int, deg_min: int, deg_max: int,

@@ -204,6 +204,22 @@ def test_dist_rejects_bad_registry_file(capsys, monkeypatch, tmp_path,
     assert f"{path}: {fragment}" in err
 
 
+@pytest.mark.parametrize("text,fragment", [
+    ("{", "line 1 column 2 (char 1)"),
+    ('{"x.cnfU": 0}', "x.cnfU: bkv must be positive and finite, got 0.0"),
+], ids=["syntax", "zero"])
+def test_dist_names_bad_registry_file(capsys, monkeypatch, tmp_path,
+                                      school_path, text, fragment):
+    path = tmp_path / "bkv.json"
+    path.write_text(text)
+    monkeypatch.setattr(experiments, "_default_registry", None)
+    monkeypatch.setenv(experiments.BKV_REGISTRY_ENV, str(path))
+    rc, out, err = run(capsys, "dist", school_path, "--seeds", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith(f"bglab dist: {path}: ")
+    assert err.endswith(f"{fragment}\n")
+
+
 BIG = {v: f"{v / 1e-307:.2f}" for v in (1, 4, 5, 6)}
 
 

@@ -5,7 +5,7 @@ import statistics
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bglab.cover as cover
@@ -15,7 +15,8 @@ from bglab.experiments import (BkvRegistry, DistributionSummary, Stats,
                                ratio_bucket_report, ratio_stats, ratio_string,
                                run_cover_distribution, stats_string,
                                summary_rows)
-from bglab.generators import (ReplicaStreams, gen_random_instance,
+from bglab.generators import (_BLOCK_CHUNK, ReplicaStreams,
+                              gen_random_instance,
                               isomorph_permutation, permute_columns,
                               seeded_rng)
 from bglab.instances import UNIT, WEIGHTED, BigraphInstance, parse_cnf
@@ -467,12 +468,12 @@ def test_long_replicas_reset_only_their_generator(monkeypatch):
 
 
 @st.composite
-def cover_instances(draw):
-    """A unate instance of 1-10 columns and 1-12 rows of 1-3 columns each;
-    unit instances tie often enough that many replicas draw past their
-    first 8 words."""
-    n = draw(st.integers(1, 10))
-    m = draw(st.integers(1, 12))
+def cover_instances(draw, cols=st.integers(1, 10), max_rows=12):
+    """A unate instance of 1-10 columns (or as `cols` draws) and 1-12 rows
+    (or up to `max_rows`) of 1-3 columns each; unit instances tie often
+    enough that many replicas draw past their first 8 words."""
+    n = draw(cols)
+    m = draw(st.integers(1, max_rows))
     rows = tuple(tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1,
                                            max_size=3))))
                  for _ in range(m))
@@ -603,6 +604,21 @@ def test_block_iso_replica_zero_is_basic(monkeypatch):
     assert views == []
 
 
+def test_block_stoc_replica_zero_is_basic():
+    # Philox(0)'s tie-breaks give this instance 6.0, the basic greedy 5.0
+    inst = gen_random_instance(12, 9, 1, 3, seed=17)
+    engine = cover._Engine(inst)
+    assert cover.cover_value(engine.run(seeded_rng(0))[0],
+                             inst.col_weights) == 6.0
+    assert cover.greedy_basic(inst).value == 5.0
+    seeds = seeded_rng(ZERO_META_SEED).integers(0, 10**6,
+                                                size=BLOCK_SEEDS).tolist()
+    summary = run_cover_distribution(inst, BLOCK_SEEDS, "stoc", "random",
+                                     meta_seed=ZERO_META_SEED)
+    assert summary.value_histogram == Counter(
+        cover.greedy_stoc(inst, rid).value for rid in seeds)
+
+
 @pytest.mark.parametrize("solver", ["stoc", "iso"])
 def test_random_mode_replica_zero_is_basic(monkeypatch, solver):
     seeds = seeded_rng(ZERO_META_SEED).integers(0, 10**6, size=2).tolist()
@@ -623,6 +639,95 @@ def test_random_mode_replica_zero_is_basic(monkeypatch, solver):
     perm0 = tuple((seeded_rng(0).permutation(inst.n_cols) + 1).tolist())
     assert cover.greedy_basic(permute_columns(inst, perm0)).value != \
         basic.value
+
+
+# replicas of this instance draw past the 8 words a walk holds per lane
+LONG_DRAWS = gen_random_instance(30, 20, 1, 3, seed=6)
+# both sides of one and two uint64 words of picked columns
+WALK_COLS = st.one_of(st.integers(1, 12),
+                      st.sampled_from([63, 64, 65, 100, 127, 128]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cover_instances(WALK_COLS, 30),
+       st.integers(BLOCK_SEEDS, _BLOCK_CHUNK + 40),
+       st.sampled_from([0.0, 1e-9]),
+       st.sampled_from(["consecutive", "random"]),
+       st.one_of(st.just(ZERO_META_SEED), st.integers(0, 999)),
+       st.sampled_from(experiments.SOLVERS))
+@example(LONG_DRAWS, BLOCK_SEEDS, 0.0, "consecutive", 0, "stoc")
+@example(LONG_DRAWS, _BLOCK_CHUNK + 1, 1e-9, "random", ZERO_META_SEED,
+         "stoc")
+@example(LONG_DRAWS, BLOCK_SEEDS, 0.0, "random", ZERO_META_SEED, "iso")
+def test_walked_runs_equal_single_replicas(inst, num_seeds, tol, mode,
+                                           meta_seed, solver):
+    if mode == "consecutive":
+        seeds = range(1, num_seeds + 1)
+    else:
+        seeds = seeded_rng(meta_seed).integers(0, 10**6,
+                                               size=num_seeds).tolist()
+    walks = []
+    walk = cover._StateGraph.walk
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cover._StateGraph, "walk",
+                      lambda self, lanes, choose: walks.append(lanes)
+                      or walk(self, lanes, choose))
+        summary = run_cover_distribution(inst, num_seeds, solver, mode,
+                                         meta_seed=meta_seed, tie_tol=tol)
+    # every replica is a lane of one chunk's walk
+    assert sum(walks) == num_seeds and max(walks) <= _BLOCK_CHUNK
+    if solver == "stoc":
+        expected = Counter(cover.greedy_stoc(inst, rid, tol).value
+                           for rid in seeds)
+    else:
+        expected = _iso_expected(inst, seeds, tol)
+    assert summary.value_histogram == expected
+
+
+@pytest.mark.parametrize("cap", [0, 1, 25])
+def test_walk_graph_cap_keeps_histograms(monkeypatch, cap):
+    # school_9_11's walks reach 41 states; lanes past the cap leave the
+    # walk at the root, after one pick or part-way
+    runs = [(inst, solver, mode) for inst, mode in
+            ((school_9_11(), "random"), (LONG_DRAWS, "consecutive"))
+            for solver in experiments.SOLVERS]
+    expected = [run_cover_distribution(inst, 600, solver, mode,
+                                       meta_seed=ZERO_META_SEED)
+                for inst, solver, mode in runs]
+    monkeypatch.setattr(cover, "_TIE_MEMO_STATES", cap)
+    for (inst, solver, mode), summary in zip(runs, expected):
+        assert run_cover_distribution(
+            inst, 600, solver, mode, meta_seed=ZERO_META_SEED
+        ).value_histogram == summary.value_histogram
+
+
+def test_walk_failure_names_replica(monkeypatch):
+    inst = school_9_11()
+    engine = cover._Engine(inst)
+    # the state after the root's second tied column fails to build
+    broken = engine.full ^ engine.col_masks[engine.ties(0)[1]]
+    tie_set = cover._tie_set
+
+    def failing(masks, weights, uncov, tie_tol):
+        if uncov == broken:
+            raise ValueError("boom")
+        return tie_set(masks, weights, uncov, tie_tol)
+
+    monkeypatch.setattr(cover, "_tie_set", failing)
+    messages = {}
+    for cut in (10**9, BLOCK_SEEDS):
+        monkeypatch.setattr(experiments, "_ISO_BLOCK_SEEDS", cut)
+        for solver in experiments.SOLVERS:
+            with pytest.raises(RuntimeError) as err:
+                run_cover_distribution(inst, 600, solver, "random",
+                                       meta_seed=ZERO_META_SEED)
+            messages[cut, solver] = str(err.value)
+    # the walk names the replica the per-replica loop fails on first
+    for solver in experiments.SOLVERS:
+        assert messages[BLOCK_SEEDS, solver] == messages[10**9, solver]
+        assert messages[BLOCK_SEEDS, solver].startswith(
+            f"{inst.name}: solver {solver} failed on replica ")
+        assert messages[BLOCK_SEEDS, solver].endswith(": boom")
 
 
 def test_converge_passes_tie_tol():

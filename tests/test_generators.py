@@ -8,7 +8,8 @@ import pytest
 import bglab.generators as generators
 from bglab.cover import _SMALL_COLS, brute_force_cover, greedy_basic
 from bglab.generators import (MovieTable, ReplicaStreams, WatchRecord,
-                              WatchTable, gen_isomorph, gen_movielib,
+                              WatchTable, bounded_draws, gen_isomorph,
+                              gen_movielib,
                               gen_random_instance, isomorph_permutation,
                               permute_columns, philox_words,
                               read_movielib, replica_keys, seeded_rng,
@@ -110,6 +111,12 @@ def _perm_ranks(n: int, seed: int) -> list[int]:
     return rank
 
 
+def _block_ranks(seeds, n: int) -> list[list[int]]:
+    """`ReplicaStreams.ranks`' rank matrices, one row per replica."""
+    return [row for block in ReplicaStreams(seeds).ranks(n)
+            for row in block.tolist()]
+
+
 # column counts up to the bitmask path's widest, which is the widest an
 # iso distribution run takes from the keystream: every count to 17, then
 # both sides of each mask width; at 9, 17 and 65 about half of the first
@@ -123,7 +130,7 @@ def test_block_ranks_equal_permutation(n):
     # random six-digit ids, replica 0 in both chunks of the block
     seeds = seeded_rng(n).integers(0, 10**6, size=1100).tolist()
     seeds[5] = seeds[1030] = 0
-    assert list(ReplicaStreams(seeds).ranks(n)) == \
+    assert _block_ranks(seeds, n) == \
         [_perm_ranks(n, s) for s in seeds]
 
 
@@ -131,14 +138,14 @@ def test_block_ranks_straddle_chunks():
     chunk = generators._BLOCK_CHUNK
     for count in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
         seeds = range(1, count + 1)
-        ranks = list(ReplicaStreams(seeds).ranks(9))
+        ranks = _block_ranks(seeds, 9)
         assert len(ranks) == count
         # each chunk's edges, where a shift by one replica would show
         for i in {0, chunk - 1, chunk, count - 2, count - 1}:
             if i < count:
                 assert ranks[i] == _perm_ranks(9, seeds[i]), (count, i)
-    assert list(ReplicaStreams([]).ranks(9)) == []
-    assert list(ReplicaStreams([0, 0]).ranks(4)) == [[0, 1, 2, 3]] * 2
+    assert _block_ranks([], 9) == []
+    assert _block_ranks([0, 0], 4) == [[0, 1, 2, 3]] * 2
 
 
 @pytest.mark.parametrize("words", [0, 8])
@@ -154,7 +161,7 @@ def test_block_ranks_fall_back_when_words_run_out(monkeypatch, words):
 
     monkeypatch.setattr(ReplicaStreams, "rng", rng)
     monkeypatch.setattr(generators, "_perm_words", lambda n: words)
-    ranks = list(ReplicaStreams(seeds).ranks(9))
+    ranks = _block_ranks(seeds, 9)
     assert ranks == [_perm_ranks(9, s) for s in seeds]
     # numpy's Philox makes its second block at counter 2, so a replica
     # drew more than the eight words of its first exactly when its
@@ -169,7 +176,7 @@ def test_block_ranks_fall_back_when_words_run_out(monkeypatch, words):
     assert words == 0 or 150 < len(longer) < 290
     resets.clear()
     monkeypatch.setattr(generators, "_perm_words", computed)
-    assert list(ReplicaStreams(seeds).ranks(9))[1:] == ranks[1:]
+    assert _block_ranks(seeds, 9)[1:] == ranks[1:]
     assert len(resets) < 10
 
 
@@ -210,6 +217,44 @@ def test_replica_draws_reject_low_words():
             int(seeded_rng(seed).integers(2**31 + 1))
         rejected += draw._pos > 1
     assert 5 < rejected < 35
+
+
+def test_bounded_draws_equal_replica_draws():
+    # the crafted words of the test above: 3 rejects two words, then
+    # 2^31 + 1 rejects two more; a row past its words gets -1
+    words = np.array([[0, 0, 7, 0, 2, 3, 1, 1]], np.uint32)
+    pos = np.zeros(1, np.intp)
+    rows = np.zeros(1, np.intp)
+    assert bounded_draws(words, pos, rows, np.array([3])).tolist() == [0]
+    assert pos.tolist() == [3]
+    assert bounded_draws(words, pos, rows,
+                         np.array([2**31 + 1])).tolist() == [1]
+    assert pos.tolist() == [6]
+    for expected in (0, 0, -1):
+        assert bounded_draws(words, pos, rows,
+                             np.array([3])).tolist() == [expected]
+    assert pos.tolist() == [8]
+    # real streams, row by row as ReplicaDraws takes them, until each row
+    # would draw past its first block
+    seeds = range(1, 41)
+    streams = ReplicaStreams(seeds)
+    words = philox_words(replica_keys(seeds), 8)
+    pos = np.zeros(len(seeds), np.intp)
+    draws = [streams.draws(i) for i in range(len(seeds))]
+    rows = np.arange(len(seeds))
+    rejected = 0
+    for k in [2, 3, 7, 2**31 + 1, 2**32 - 1] * 4:
+        before = pos[rows]
+        got = bounded_draws(words, pos, rows, np.full(len(rows), k))
+        rejected += int((pos[rows] - before > 1).sum())
+        for row, value in zip(rows.tolist(), got.tolist()):
+            expected = draws[row].integers(k)
+            if value < 0:
+                assert draws[row]._pos > 8
+            else:
+                assert value == expected and pos[row] == draws[row]._pos
+        rows = rows[got >= 0]
+    assert rows.size == 0 and rejected > 5
 
 
 @pytest.mark.parametrize("k", [-1, 0, 1, 2**32, 2**40])
