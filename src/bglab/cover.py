@@ -188,7 +188,8 @@ class _Engine:
     literal arrays once (`unate_literals`) and derives each loop's data from
     them: the per-column row bitmasks, or the column-to-rows CSR (`col_ptr`
     and `col_rows`, rows ascending within a column), the column degrees and
-    one column array per row.
+    one column array per row (`cols_of_row`, views of one array), all
+    indexed as intp.
 
     An engine is built for one tie tolerance, checked once by the build.
     The bitmask loop and a walk's `_StateGraph` take each covered-row
@@ -215,9 +216,16 @@ class _Engine:
             self.full = (1 << m) - 1
             self.tie_memo: dict[int, tuple[int, ...]] = {}
             return
-        col_ptr, self.col_rows = column_csr(cols, row_of, n)
+        col_ptr, col_rows = column_csr(cols, row_of, n)
         self.col_ptr = col_ptr.tolist()
-        self.cols_of_row = np.split(cols, np.cumsum(lengths[:-1]))
+        # The loop indexes with these at every pick, so they are widened to
+        # intp here, once: numpy would convert int32 indices at each use.
+        # A row's columns are a view of one array, cut where its row starts.
+        self.col_rows = col_rows.astype(np.intp)
+        row_cols = cols.astype(np.intp)
+        row_ptr = [0] + np.cumsum(lengths).tolist()
+        self.cols_of_row = [row_cols[a:b]
+                            for a, b in zip(row_ptr, row_ptr[1:])]
         self.degrees0 = np.diff(col_ptr).astype(np.float64)
         self.weights = np.array(instance.col_weights, dtype=np.float64)
 

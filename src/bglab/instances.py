@@ -20,8 +20,7 @@ import numpy as np
 UNIT = "unit"
 WEIGHTED = "weighted"
 # Most columns an instance can have: instances keep their literals as
-# int32, and `column_csr` sorts literals on an int32 column key above 2^16
-# columns.
+# int32.
 MAX_COLS = 2**31 - 1
 
 
@@ -181,25 +180,35 @@ def unate_literals(instance: BigraphInstance
 
     Every column-wise view of a unate instance derives from these arrays.
     They come from the instance's `_literals`: the lengths are that int32
-    array itself, the columns and rows are fresh intp arrays. Raises
+    array itself, the columns and rows are fresh int32 arrays, as narrow
+    as the kept literals, so no view of them widens on the way. A caller
+    that indexes with them many times widens them once to intp. Raises
     `UnateRequiredError` on a binate literal.
     """
     lengths, flat = instance._literals
     if flat.min() < 1:
         raise UnateRequiredError(f"{instance.name}: unate required")
-    rows = np.repeat(np.arange(len(lengths), dtype=np.intp), lengths)
-    return lengths, np.subtract(flat, 1, dtype=np.intp), rows
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    return lengths, np.subtract(flat, 1, dtype=np.int32), rows
 
 
 def column_csr(cols: np.ndarray, row_of: np.ndarray, n_cols: int
                ) -> tuple[np.ndarray, np.ndarray]:
-    """(ptr, rows): column j's rows are rows[ptr[j]:ptr[j + 1]], in the
-    order of the literals, so ascending for `unate_literals` output."""
+    """(ptr, rows): column j's rows are rows[ptr[j]:ptr[j + 1]], ascending,
+    as int32.
+
+    One sort of the keys column * m + row, with m above every row, orders
+    the literals by column and then row. The keys are uint32 when they fit:
+    numpy sorts those values in about half the time of a stable argsort of
+    the columns alone, and no gather by the sorted indices follows.
+    """
     ptr = np.concatenate(([0], np.cumsum(np.bincount(cols,
                                                      minlength=n_cols))))
-    # numpy's stable sort is a radix sort on 16-bit keys
-    key = cols.astype(np.uint16 if n_cols <= 1 << 16 else np.int32)
-    return ptr, row_of[np.argsort(key, kind="stable")]
+    m = int(row_of.max()) + 1 if row_of.size else 1
+    wide = np.dtype(np.uint32 if n_cols * m <= 1 << 32 else np.uint64)
+    key = cols.astype(wide) * wide.type(m) + row_of.astype(wide)
+    key.sort()
+    return ptr, (key % wide.type(m)).astype(np.int32)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,14 @@ Columns form the side the search augments from; ties are broken by ascending
 row index, columns are scanned in ascending index order, so results are
 deterministic for a fixed instance. One solve allocates a single visit-stamp
 array of m_rows ints; column c's search marks rows with the stamp c + 1, so
-each search pays only for the rows it visits. The adjacency is one int32
-column CSR built from the instance's kept literal arrays, read through a
-memoryview slice per column, so a row's int object is made only when a
-search reaches it. The matched pairs are read from the column side: at
-most n_cols of them, sorted by row.
+each search pays only for the rows it visits. A column whose first row is
+still free is matched to it at once, with no search frame: that is the
+search's own first step. The adjacency is the int32 column CSR of the
+instance's kept literal arrays, which stay int32 from `unate_literals` on,
+read through a memoryview slice per column, so a row's int object is made
+only when a search reaches it. The matched pairs are read from the column
+side, at most n_cols of them, and put in row order by one numpy argsort: a
+row is matched at most once, so no two pairs tie.
 A brute-force oracle over tiny instances backs the correctness tests.
 """
 
@@ -36,16 +39,24 @@ def _column_adjacency(instance: BigraphInstance) -> list[memoryview]:
     """Rows of each column, ascending: int32 memoryview slices of the
     column CSR."""
     ptr, rows = column_csr(*unate_literals(instance)[1:], instance.n_cols)
-    view = memoryview(rows.astype(np.int32))
+    view = memoryview(rows)
     ptr = ptr.tolist()
     return [view[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
 def _augment(start: int, adj: list[memoryview], match_row: list[int],
              match_col: list[int], seen: list[int], stamp: int) -> bool:
+    # The search's first step: a free first row is matched at once.
+    rows = adj[start]
+    if rows:
+        r = rows[0]
+        if match_row[r] == -1:
+            match_row[r] = start
+            match_col[start] = r
+            return True
     # Iterative alternating-path DFS; frames are (column, row-iterator,
     # row used to enter the column).
-    stack = [(start, iter(adj[start]), -1)]
+    stack = [(start, iter(rows), -1)]
     while stack:
         col, row_iter, _ = stack[-1]
         advanced = False
@@ -81,8 +92,12 @@ def max_matching(instance: BigraphInstance) -> MatchingResult:
     for c in range(instance.n_cols):
         if _augment(c, adj, match_row, match_col, seen, c + 1):
             size += 1
-    pairs = tuple(sorted((r + 1, c + 1) for c, r in enumerate(match_col)
-                         if r != -1))
+    matched = np.array(match_col)
+    cols = np.flatnonzero(matched != -1)
+    rows = matched[cols]
+    by_row = rows.argsort()  # a row is matched at most once: no ties
+    pairs = tuple(zip((rows[by_row] + 1).tolist(),
+                      (cols[by_row] + 1).tolist()))
     return MatchingResult(size=size, pairs=pairs,
                           m_p=size / instance.n_cols)
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bglab.cover as cover_module
 import bglab.instances as instances_module
 from bglab.cli import _load_instance
 from bglab.generators import gen_isomorph, gen_random_instance, permute_columns
@@ -190,11 +191,12 @@ def _with_signs(rs, inst):
         for clause in inst.rows))
 
 
-def test_column_views_match_literal_loop(rs):
+def test_column_views_match_literal_loop(rs, monkeypatch):
     # every view derived from the flat literals equals a per-literal loop
     insts = [random_instance(rs, n_max=30, m_max=60, deg_max=8)
              for _ in range(25)]
     insts.append(gen_random_instance(30, 70000, 1, 4, seed=2))  # > 2^16
+    monkeypatch.setattr(cover_module, "_SMALL_COLS", 0)
     for inst in insts:
         n, m = inst.n_cols, inst.m_rows
         rows_of_col = [[] for _ in range(n)]
@@ -223,6 +225,31 @@ def test_column_views_match_literal_loop(rs):
                 unate_literals(binate)
             with pytest.raises(UnateRequiredError, match="unate required"):
                 _column_adjacency(binate)
+        # the views stay int32; the vectorized engine widens its index
+        # arrays to intp once, at build
+        assert cols.dtype == row_of.dtype == col_rows.dtype == np.int32
+        assert all(rows.format == "i" for rows in _column_adjacency(inst))
+        engine = cover_module._Engine(inst)
+        assert not engine.small
+        assert engine.col_rows.dtype == np.intp
+        assert all(cs.dtype == np.intp for cs in engine.cols_of_row)
+
+
+def test_column_csr_orders_by_column_then_row():
+    # rows come out ascending within a column whatever the literal order,
+    # on uint32 keys and on uint64 ones (columns * rows above 2^32)
+    rs = np.random.default_rng(5)
+    for n, m in ((50, 40), (2**17, 40001)):
+        cols = rs.integers(0, n, size=300, dtype=np.int32)
+        cols[:2] = 0, n - 1
+        row_of = rs.integers(0, m, size=300, dtype=np.int32)
+        row_of[:2] = m - 1, m - 1
+        ptr, rows = column_csr(cols, row_of, n)
+        order = np.lexsort((row_of, cols))
+        assert rows.dtype == np.int32
+        assert rows.tolist() == row_of[order].tolist()
+        assert ptr.tolist() == [0] + np.cumsum(
+            np.bincount(cols, minlength=n)).tolist()
 
 
 def _fromiter_literals(inst):
