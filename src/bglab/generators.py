@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import csv
 import datetime
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .instances import (UNIT, BigraphInstance, UnateRequiredError,
-                        _literals_of)
+                        _check_cols, _literals_of)
 
 # A column permutation is a 1-based tuple: output column idx carries input
 # column perm[idx - 1].
@@ -312,12 +313,10 @@ class ReplicaDraws:
     """`integers(k)` of replica i's stream, draw for draw as
     `seeded_rng(seeds[i]).integers(k)` gives it, for 2 <= k < 2^32.
 
-    numpy draws that bound with Lemire's multiply-and-reject method
-    (ACM TOMACS 2019): m = u * k for the next 32-bit word u, drawn again
-    while m's low word is below (2^32 - k) mod k, and the draw is m >> 32.
-    Words come from the stream's first block, then from `rng(i)`: each
-    refill resets it and takes at least twice the words held, so the draws
-    never depend on another replica's use of the generator.
+    Each draw is `lemire_draw`. Words come from the stream's first block,
+    then from `rng(i)`: each refill resets it and takes at least twice the
+    words held, so the draws never depend on another replica's use of the
+    generator.
     """
 
     __slots__ = ("_streams", "_i", "_words", "_pos")
@@ -339,13 +338,24 @@ class ReplicaDraws:
     def integers(self, k: int) -> int:
         if not 2 <= k < _WORD:
             raise ValueError(f"bound must lie in 2 .. 2**32 - 1, got {k}")
-        m = self._next_word() * k
-        # k bounds the threshold, so most draws skip its modulo
-        if m & _MASK32 < k:
-            threshold = (_WORD - k) % k
-            while m & _MASK32 < threshold:
-                m = self._next_word() * k
-        return m >> 32
+        return lemire_draw(self._next_word, k)
+
+
+def lemire_draw(next_word: Callable[[], int], k: int) -> int:
+    """numpy's bounded draw of 0 .. k - 1, for 2 <= k < 2^32, from the
+    32-bit words `next_word` returns.
+
+    numpy draws that bound with Lemire's multiply-and-reject method
+    (ACM TOMACS 2019): m = u * k for the next 32-bit word u, drawn again
+    while m's low word is below (2^32 - k) mod k, and the draw is m >> 32.
+    """
+    m = next_word() * k
+    # k bounds the threshold, so most draws skip its modulo
+    if m & _MASK32 < k:
+        threshold = (_WORD - k) % k
+        while m & _MASK32 < threshold:
+            m = next_word() * k
+    return m >> 32
 
 
 def bounded_draws(words: np.ndarray, pos: np.ndarray, rows: np.ndarray,
@@ -376,6 +386,58 @@ def bounded_draws(words: np.ndarray, pos: np.ndarray, rows: np.ndarray,
     return draws
 
 
+# 64-bit outputs `gen_random_instance` reads from its stream at a time
+_RAW_CHUNK = 1024
+# numpy's `choice(n, deg, replace=False)` takes a tail shuffle in place of
+# Floyd's sample when n > _FLOYD_MAX_POP and deg > n // _TAIL_SHARE
+_FLOYD_MAX_POP, _TAIL_SHARE = 10000, 50
+
+
+def _stream_words(bit_generator) -> Callable[[], int]:
+    """The 32-bit words of `bit_generator`'s fresh stream as `next_uint32`
+    hands them out (the low half of each 64-bit output first), read
+    `_RAW_CHUNK` outputs at a time."""
+    chunks = iter(lambda: bit_generator.random_raw(_RAW_CHUNK).astype(
+        "<u8", copy=False).view("<u4").tolist(), None)
+    return chain.from_iterable(chunks).__next__
+
+
+def _floyd_sample(next_word: Callable[[], int], n: int, deg: int
+                  ) -> set[int]:
+    """The 1-based columns of `choice(n, deg, replace=False)` on Floyd's
+    path, with the words its sample's shuffle draws skipped.
+
+    Floyd's sample (Bentley & Floyd, CACM 30(9), 1987): for j from
+    n - deg + 1 to n (numpy's j + 1), a column drawn from 1 .. j, or j
+    itself when the draw is already taken; j = 1 draws nothing. numpy
+    then shuffles the sample with draws of bound deg down to 2.
+    """
+    picked: set[int] = set()
+    for j in range(n - deg + 1, n + 1):
+        col = lemire_draw(next_word, j) + 1 if j > 1 else 1
+        picked.add(j if col in picked else col)
+    for k in range(deg, 1, -1):
+        lemire_draw(next_word, k)
+    return picked
+
+
+def _tail_sample(next_word: Callable[[], int], n: int, deg: int
+                 ) -> list[int]:
+    """The 1-based columns of `choice(n, deg, replace=False)` on its tail
+    path: the last `deg` entries of `arange(n)` after Fisher-Yates steps
+    i = n - 1 down to max(n - deg, 1), each swapping entries i and a draw
+    of bound i + 1. Only moved entries are held, so it takes O(deg)."""
+    moved: dict[int, int] = {}
+    cols = []
+    for i in range(n - 1, max(n - deg, 1) - 1, -1):
+        j = lemire_draw(next_word, i + 1)
+        cols.append(moved.get(j, j + 1))
+        moved[j] = moved.get(i, i + 1)
+    if deg == n:
+        cols.append(moved.get(0, 1))
+    return cols
+
+
 def gen_random_instance(m_rows: int, n_cols: int, deg_min: int, deg_max: int,
                         seed: int) -> BigraphInstance:
     """Random unit-weight unate instance.
@@ -383,18 +445,30 @@ def gen_random_instance(m_rows: int, n_cols: int, deg_min: int, deg_max: int,
     Each row draws its degree uniformly from [deg_min, deg_max] and then that
     many distinct columns uniformly without replacement. Expected density is
     (deg_min + deg_max) / (2 * n_cols).
+
+    The rows are those of `rng.integers(deg_min, deg_max + 1)` then
+    `rng.choice(n_cols, deg, replace=False)` per row on `rng =
+    seeded_rng(seed)`, replayed on the 32-bit words of its stream: the
+    degree is a `lemire_draw` of bound deg_max - deg_min + 1 (none when
+    that is 1), and the columns are `_floyd_sample`'s, or `_tail_sample`'s
+    when n_cols > 10000 and deg > n_cols // 50, as in numpy.
     """
+    _check_cols(n_cols)
     if m_rows < 1 or n_cols < 1:
         raise ValueError("m_rows and n_cols must be positive")
     if not 1 <= deg_min <= deg_max <= n_cols:
         raise ValueError(f"need 1 <= deg_min <= deg_max <= n_cols, "
                          f"got {deg_min}..{deg_max} over {n_cols}")
-    rng = seeded_rng(seed)
+    next_word = _stream_words(seeded_rng(seed).bit_generator)
+    span = deg_max - deg_min + 1
+    tail_above = (n_cols // _TAIL_SHARE if n_cols > _FLOYD_MAX_POP
+                  else n_cols)
     rows = []
     for _ in range(m_rows):
-        deg = int(rng.integers(deg_min, deg_max + 1))
-        cols = rng.choice(n_cols, size=deg, replace=False)
-        rows.append(tuple(sorted(int(c) + 1 for c in cols)))
+        deg = deg_min + lemire_draw(next_word, span) if span > 1 else deg_min
+        sample = (_tail_sample if deg > tail_above else _floyd_sample)(
+            next_word, n_cols, deg)
+        rows.append(tuple(sorted(sample)))
     return BigraphInstance(
         name=f"m{m_rows}_{n_cols}_{deg_min}_{deg_max}",
         n_cols=n_cols, m_rows=m_rows, rows=tuple(rows),

@@ -412,6 +412,13 @@ def test_gen_builtin(capsys):
     assert err == "bglab gen: gen builtin needs --name\n"
 
 
+def test_gen_random_too_many_columns_exits_2(capsys):
+    # refused before the instance's weights are sized by the count
+    rc, out, err = run(capsys, "gen", "random", "1", "2147483648", "1", "1")
+    assert rc == 2 and out == ""
+    assert "exceed the limit of 2147483647" in err
+
+
 def test_gen_random_missing_args(capsys):
     rc, _, err = run(capsys, "gen", "random", "30")
     assert rc == 2

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bglab.generators as generators
 from bglab.cover import _SMALL_COLS, brute_force_cover, greedy_basic
@@ -14,8 +16,8 @@ from bglab.generators import (MovieTable, ReplicaStreams, WatchRecord,
                               permute_columns, philox_words,
                               read_movielib, replica_keys, seeded_rng,
                               urn_trial, write_movielib)
-from bglab.instances import (UnateRequiredError, compute_stats, parse_cnf,
-                             write_cnf)
+from bglab.instances import (UNIT, BigraphInstance, UnateRequiredError,
+                             compute_stats, parse_cnf, write_cnf)
 from bglab.library import SCHOOL_5_5_ISO_PERM, school_5_5_ref
 
 from conftest import random_instance
@@ -305,6 +307,104 @@ def test_gen_random_validation():
         gen_random_instance(1, 5, 2, 6, seed=0)
     with pytest.raises(ValueError, match="must be positive"):
         gen_random_instance(0, 5, 1, 3, seed=0)
+
+
+def _numpy_rows(m_rows, n_cols, deg_min, deg_max, seed):
+    """The rows of `gen_random_instance` as numpy's generator draws them:
+    a degree, then that many columns without replacement, per row."""
+    rng = seeded_rng(seed)
+    rows = []
+    for _ in range(m_rows):
+        deg = int(rng.integers(deg_min, deg_max + 1))
+        cols = rng.choice(n_cols, size=deg, replace=False)
+        rows.append(tuple(sorted(int(c) + 1 for c in cols)))
+    return tuple(rows)
+
+
+def _assert_numpy_rows(shape, seed):
+    inst = gen_random_instance(*shape, seed)
+    rows = _numpy_rows(*shape, seed)
+    assert inst.rows == rows
+    public = BigraphInstance(name=inst.name, n_cols=shape[1],
+                             m_rows=shape[0], rows=rows,
+                             col_weights=(1.0,) * shape[1], weight_kind=UNIT)
+    for got, want in zip(inst._literals, public._literals):
+        np.testing.assert_array_equal(got, want)
+    return inst
+
+
+@st.composite
+def random_shapes(draw):
+    n_cols = draw(st.integers(1, 120))
+    deg_min = draw(st.integers(1, n_cols))
+    deg_max = draw(st.sampled_from([deg_min, n_cols])
+                   | st.integers(deg_min, n_cols))
+    return draw(st.integers(1, 40)), n_cols, deg_min, deg_max
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_shapes(), st.integers(0, 2**64 - 1))
+# n_cols == 1; deg_min == deg_max, whose degree draw takes no word;
+# deg == n_cols, whose Floyd step j = 0 takes none
+@example((5, 1, 1, 1), 0)
+@example((8, 12, 4, 4), 3)
+@example((6, 9, 9, 9), 5)
+@example((100, 100, 10, 30), 7)
+def test_gen_random_replays_numpy_draws(shape, seed):
+    _assert_numpy_rows(shape, seed)
+
+
+@pytest.mark.parametrize("shape,seed,tails", [
+    ((40, 10001, 150, 250), 3, {True, False}),
+    ((2, 10001, 10001, 10001), 1, {True}),
+])
+def test_gen_random_replays_numpy_tail_shuffle(shape, seed, tails):
+    # numpy samples more than n_cols // 50 of over 10000 columns with a
+    # tail shuffle, fewer with Floyd's sample
+    inst = _assert_numpy_rows(shape, seed)
+    assert {len(row) > 10001 // 50 for row in inst.rows} == tails
+
+
+def test_gen_random_rejects_low_words(monkeypatch):
+    # 0 is rejected by bound 3 ((2^32 - 3) % 3 = 1); bounds 2 and 4 reject
+    # nothing
+    words = iter([0, 2**32 - 1,          # degree 1 + 2 after a rejection
+                  2**31,                 # j = 2: column 2
+                  0, 2**31,              # j = 3: column 2, taken, so 3
+                  0,                     # j = 4: column 1
+                  0, 5, 5,               # the sample's shuffle, bounds 3, 2
+                  5,                     # row 2: degree 1
+                  3 << 30,               # j = 4: column 4
+                  99])
+    monkeypatch.setattr(generators, "_stream_words",
+                        lambda bit_generator: words.__next__)
+    assert gen_random_instance(2, 4, 1, 3, 0).rows == ((1, 2, 3), (4,))
+    assert next(words) == 99
+
+
+def test_floyd_sample_rejects_on_real_streams():
+    # bounds just above 2^32 / 3 reject about a third of all words
+    k = 2**32 // 3 + 1
+    rejected = 0
+    for seed in range(1, 6):
+        rng = seeded_rng(seed)
+        words = generators._stream_words(seeded_rng(seed).bit_generator)
+        taken = []
+
+        def next_word():
+            taken.append(words())
+            return taken[-1]
+
+        for deg in (1, 4, 9):
+            assert generators.lemire_draw(next_word, k) == \
+                int(rng.integers(0, k))
+            cols = rng.choice(k + deg, size=deg, replace=False)
+            assert sorted(generators._floyd_sample(next_word, k + deg, deg)) \
+                == sorted(int(c) + 1 for c in cols)
+        # with no rejection, sample d takes 2 d words: one draw, d Floyd
+        # steps and d - 1 shuffle draws
+        rejected += len(taken) - 2 * (1 + 4 + 9)
+    assert rejected > 10
 
 
 def test_permute_columns_roundtrip(rs):

@@ -839,6 +839,7 @@ def test_repeats_by_row_then_column(wide):
     lambda: BigraphInstance(name="wide", n_cols=2**31, m_rows=1,
                             rows=((1,),), col_weights=(1.0,),
                             weight_kind=UNIT),
+    lambda: gen_random_instance(1, 2**31, 1, 1, 0),
 ])
 def test_column_counts_past_the_cap_are_refused_before_allocation(read):
     # a column count sizes the weights and the CSR, whose sort key is
