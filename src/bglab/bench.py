@@ -100,8 +100,14 @@ def watch_counts(watches, strategy: str = "hash") -> dict[str, int]:
 def select_topk(counts: dict[str, int], k: int) -> TopKResult:
     if k < 1:
         raise ValueError("k must be >= 1")
-    top = heapq.nsmallest(k, counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return TopKResult(entries=tuple(top))
+    largest = heapq.nlargest(k, counts.values())
+    if not largest:
+        return TopKResult(entries=())
+    # only the items at or above the k-th largest count can be in the top k
+    floor = largest[-1]
+    top = sorted(((movie_id, count) for movie_id, count in counts.items()
+                  if count >= floor), key=lambda kv: (-kv[1], kv[0]))
+    return TopKResult(entries=tuple(top[:k]))
 
 
 def topk_movies(movies, watches, k: int,

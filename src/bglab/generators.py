@@ -693,16 +693,59 @@ def gen_movielib(size: int, seed: int) -> tuple[MovieTable, WatchTable]:
     return movies, watches
 
 
+# A plain field holds none of `,` `"` `\r` `\n` `\0`, so csv.writer writes
+# it as it is and csv.reader reads it back unchanged. Whole blocks of lines
+# of plain fields are written and read with str.join and str.split; any
+# other block goes through the csv module.
+_NOT_PLAIN = ('"', "\r", "\0")
+_WRITE_BLOCK_ROWS = 4096
+_READ_BLOCK_CHARS = 1 << 16
+
+
+def _plain_lines(fields: list[list]) -> str | None:
+    """The rows of `fields` (one list per column) as lines of comma-joined
+    fields, or None when a field is not a plain str."""
+    try:
+        text = "\n".join(map(",".join, zip(*fields))) + "\n"
+    except TypeError:  # a field that is no str: csv.writer formats it
+        return None
+    rows = len(fields[0])
+    if (text.count(",") != (len(fields) - 1) * rows
+            or text.count("\n") != rows
+            or any(c in text for c in _NOT_PLAIN)):
+        return None
+    return text
+
+
 def write_movielib(movies, watches, movies_path: str,
                    watches_path: str) -> None:
     """Emit the two tables (tables or iterables of records) as
-    comma-separated text files with header rows."""
+    comma-separated text files with header rows.
+
+    The bytes are those `csv.writer` writes: blocks of rows whose fields
+    are all plain strings or integers are joined directly, and any other
+    block is handed to `csv.writer`.
+    """
     for table, path in ((MovieTable.of(movies), movies_path),
                         (WatchTable.of(watches), watches_path)):
+        columns = table._columns()
+        # integer arrays are written as str() writes their values
+        integer = [isinstance(col, np.ndarray) and col.dtype.kind in "iu"
+                   for col in columns]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(table.HEADER)
-            w.writerows(zip(*table._lists()))
+            for start in range(0, len(table), _WRITE_BLOCK_ROWS):
+                block = [col[start:start + _WRITE_BLOCK_ROWS]
+                         for col in columns]
+                block = [col.tolist() if isinstance(col, np.ndarray)
+                         else col for col in block]
+                text = _plain_lines([list(map(str, col)) if is_int else col
+                                     for col, is_int in zip(block, integer)])
+                if text is None:
+                    w.writerows(zip(*block))
+                else:
+                    fh.write(text)
 
 
 def _read_table(path: str, cls: type[_Table]) -> _Table:
@@ -741,8 +784,97 @@ def _read_table(path: str, cls: type[_Table]) -> _Table:
                                              columns)))
 
 
+def _decimal_column(raw: np.ndarray, starts: np.ndarray,
+                    stops: np.ndarray) -> np.ndarray | None:
+    """int64 values of the fields raw[starts[k]:stops[k]] when each is 1 to
+    18 ASCII digits, which `int()` reads as the decimal number they spell;
+    None when any field is anything else."""
+    lengths = stops - starts
+    if not len(lengths) or lengths.min() < 1 or lengths.max() > 18:
+        return None
+    width = int(lengths.max())
+    place = np.arange(width)
+    # every field right-aligned in `width` bytes, the bytes before it zeroed
+    digits = raw[np.maximum(stops[:, None] - width + place, 0)] - ord("0")
+    digits[place < width - lengths[:, None]] = 0
+    if digits.max() > 9:  # uint8, so a byte below "0" wraps above 9
+        return None
+    return digits.astype(np.int64) @ 10 ** place[::-1]
+
+
+def _read_plain_table(path: str, cls: type[_Table]) -> _Table | None:
+    """The table `_read_table` reads from `path`, read in blocks of whole
+    lines of plain fields; None as soon as a block holds anything else.
+
+    A block passes when it ends with a newline, every line has one comma
+    fewer than the header has fields, every line is shorter than
+    `csv.field_size_limit()` and it holds none of `"` `\r` `\0`; csv.reader
+    reads such lines as str.split does. Its integer fields must convert
+    with `int()` into int64; fields of ASCII digits alone are converted
+    together from the block's bytes.
+    """
+    header = ",".join(cls.HEADER) + "\n"
+    limit = csv.field_size_limit()
+    width = len(cls.HEADER)
+    integer = [name in cls.INTEGERS for name in cls.RECORD._fields]
+    strings: list[list[str]] = [[] for _ in integer]
+    arrays: list[list[np.ndarray]] = [[] for _ in integer]
+    with open(path, newline="") as fh:
+        try:
+            if fh.readline() != header or len(header) > limit:
+                return None
+            while block := fh.read(_READ_BLOCK_CHARS):
+                if block[-1] != "\n":
+                    block += fh.readline()
+                    if block[-1] != "\n":
+                        return None
+                if any(c in block for c in _NOT_PLAIN):
+                    return None
+                # positions in UTF-8 bytes: "," and "\n" are single bytes,
+                # and a line has at least as many bytes as csv counts
+                # characters
+                raw = np.frombuffer(block.encode(), np.uint8)
+                seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+                rows, extra = divmod(len(seps), width)
+                newline = raw[seps] == ord("\n")
+                if (extra or np.count_nonzero(newline) != rows
+                        or not newline[width - 1::width].all()):
+                    return None
+                stops = seps.reshape(rows, width)
+                starts = np.empty_like(seps)
+                starts[0] = 0
+                starts[1:] = seps[:-1] + 1
+                starts = starts.reshape(rows, width)
+                if (stops[:, -1] - starts[:, 0]).max() >= limit:
+                    return None
+                fields = block.replace("\n", ",").split(",")
+                fields.pop()  # after the last line's newline
+                for i, is_int in enumerate(integer):
+                    if not is_int:
+                        strings[i] += fields[i::width]
+                        continue
+                    values = _decimal_column(raw, starts[:, i], stops[:, i])
+                    if values is None:
+                        values = np.fromiter(map(int, fields[i::width]),
+                                             np.int64, rows)
+                    arrays[i].append(values)
+        except (ValueError, OverflowError):  # int() or decoding failed
+            return None
+    return cls(*(np.concatenate(arrays[i] or [np.zeros(0, np.int64)])
+                 if is_int else strings[i]
+                 for i, is_int in enumerate(integer)))
+
+
 def read_movielib(movies_path: str, watches_path: str
                   ) -> tuple[MovieTable, WatchTable]:
-    """The two tables, from files as `write_movielib` writes them."""
-    return (_read_table(movies_path, MovieTable),
-            _read_table(watches_path, WatchTable))
+    """The two tables, from files as `write_movielib` writes them.
+
+    Files of plain fields are read in blocks; any other file is read
+    again by `_read_table`, so errors and their messages are the csv
+    reader's.
+    """
+    tables = []
+    for path, cls in ((movies_path, MovieTable), (watches_path, WatchTable)):
+        table = _read_plain_table(path, cls)
+        tables.append(_read_table(path, cls) if table is None else table)
+    return tables[0], tables[1]

@@ -1,8 +1,11 @@
+import heapq
 import random
 import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bglab.bench import (PhaseTask, TopKResult, asymptotic_sweep, select_topk,
                          sweep_csv, time_phases, topk_movies, topk_task,
@@ -318,6 +321,19 @@ def test_select_topk_matches_full_sort_with_ties():
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     for k in (1, 5, 37, 199, 200, 500):
         assert select_topk(counts, k).entries == tuple(ordered[:k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(alphabet="t0123456789", max_size=4),
+                       st.integers(0, 5), max_size=40),
+       st.integers(1, 45))
+@example({"tt1": 3, "tt2": 2, "tt3": 2, "tt4": 2, "tt0": 1}, 2)
+@example({"tt1": 3, "tt2": 2, "tt3": 2}, 3)
+@example({}, 1)
+def test_select_topk_equals_nsmallest(counts, k):
+    # ties straddle the k-th count, and k reaches past len(counts)
+    want = heapq.nsmallest(k, counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert select_topk(counts, k).entries == tuple(want)
 
 
 @pytest.mark.parametrize("size,seed", [(1, 2), (40, 3), (3000, 6)])
