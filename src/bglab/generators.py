@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -695,11 +697,17 @@ def gen_movielib(size: int, seed: int) -> tuple[MovieTable, WatchTable]:
 
 # A plain field holds none of `,` `"` `\r` `\n` `\0`, so csv.writer writes
 # it as it is and csv.reader reads it back unchanged. Whole blocks of lines
-# of plain fields are written and read with str.join and str.split; any
-# other block goes through the csv module.
+# of plain fields are written and read with str.join and str.split; the csv
+# module writes any other block, and reads a file from its first other
+# block on.
 _NOT_PLAIN = ('"', "\r", "\0")
 _WRITE_BLOCK_ROWS = 4096
 _READ_BLOCK_CHARS = 1 << 16
+# The text of one row as csv.writer writes it (`writerow` returns what
+# `write` returns). Under "\r\n" it quotes a field holding "\r" as well as
+# one holding "\n", on every Python version; the files end rows with "\n".
+_csv_line = csv.writer(SimpleNamespace(write=str),
+                       lineterminator="\r\n").writerow
 
 
 def _plain_lines(fields: list[list]) -> str | None:
@@ -722,9 +730,10 @@ def write_movielib(movies, watches, movies_path: str,
     """Emit the two tables (tables or iterables of records) as
     comma-separated text files with header rows.
 
-    The bytes are those `csv.writer` writes: blocks of rows whose fields
-    are all plain strings or integers are joined directly, and any other
-    block is handed to `csv.writer`.
+    Each row is what `csv.writer` writes, ending in "\n", and a field that
+    holds "\r" is quoted as one that holds "\n" is (RFC 4180). Blocks of
+    rows whose fields are all plain strings or integers are joined
+    directly.
     """
     for table, path in ((MovieTable.of(movies), movies_path),
                         (WatchTable.of(watches), watches_path)):
@@ -733,55 +742,14 @@ def write_movielib(movies, watches, movies_path: str,
         integer = [isinstance(col, np.ndarray) and col.dtype.kind in "iu"
                    for col in columns]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(table.HEADER)
+            fh.write(",".join(table.HEADER) + "\n")
             for start in range(0, len(table), _WRITE_BLOCK_ROWS):
-                block = [col[start:start + _WRITE_BLOCK_ROWS]
-                         for col in columns]
-                block = [col.tolist() if isinstance(col, np.ndarray)
-                         else col for col in block]
+                block = table[start:start + _WRITE_BLOCK_ROWS]._lists()
                 text = _plain_lines([list(map(str, col)) if is_int else col
                                      for col, is_int in zip(block, integer)])
-                if text is None:
-                    w.writerows(zip(*block))
-                else:
-                    fh.write(text)
-
-
-def _read_table(path: str, cls: type[_Table]) -> _Table:
-    """One table from a file `write_movielib` made, read in one pass.
-
-    A row whose field count differs from the header's is rejected, with
-    its line number, and so is one the csv module rejects, such as a field
-    past its size limit. Integer fields accept what `int()` accepts.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if tuple(header or ()) != cls.HEADER:
-                raise ValueError(f"{path}: bad header {header}")
-            # both tables have four fields
-            columns = ([], [], [], [])
-            add0, add1, add2, add3 = (col.append for col in columns)
-            for row in reader:
-                try:
-                    field0, field1, field2, field3 = row
-                except ValueError:
-                    raise ValueError(f"{path}: line {reader.line_num} has "
-                                     f"{len(row)} fields, the header "
-                                     f"{len(cls.HEADER)}") from None
-                add0(field0)
-                add1(field1)
-                add2(field2)
-                add3(field3)
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: "
-                             f"{exc}") from None
-    return cls(*(_int_column(col, f"{path}: {title}")
-                 if name in cls.INTEGERS else col
-                 for name, title, col in zip(cls.RECORD._fields, cls.HEADER,
-                                             columns)))
+                fh.write("".join(_csv_line(row)[:-2] + "\n"
+                                 for row in zip(*block))
+                         if text is None else text)
 
 
 def _decimal_column(raw: np.ndarray, starts: np.ndarray,
@@ -802,79 +770,109 @@ def _decimal_column(raw: np.ndarray, starts: np.ndarray,
     return digits.astype(np.int64) @ 10 ** place[::-1]
 
 
-def _read_plain_table(path: str, cls: type[_Table]) -> _Table | None:
-    """The table `_read_table` reads from `path`, read in blocks of whole
-    lines of plain fields; None as soon as a block holds anything else.
+def _plain_columns(block: str, integer: list[bool],
+                   limit: int) -> list | None:
+    """The columns of `block` (string lists, and int64 arrays where
+    `integer` says) when it is whole lines of plain fields, else None.
 
-    A block passes when it ends with a newline, every line has one comma
-    fewer than the header has fields, every line is shorter than
-    `csv.field_size_limit()` and it holds none of `"` `\r` `\0`; csv.reader
-    reads such lines as str.split does. Its integer fields must convert
-    with `int()` into int64; fields of ASCII digits alone are converted
-    together from the block's bytes.
+    Then it ends with a newline, every line has one comma fewer than there
+    are columns and is shorter than `limit`, it holds none of `"` `\r`
+    `\0`, and its integer fields convert with `int()` into int64; fields
+    of ASCII digits alone are converted together from the bytes.
     """
-    header = ",".join(cls.HEADER) + "\n"
+    if block[-1] != "\n" or any(c in block for c in _NOT_PLAIN):
+        return None
+    width = len(integer)
+    # positions in UTF-8 bytes: "," and "\n" are single bytes, and a line
+    # has at least as many bytes as csv counts characters
+    raw = np.frombuffer(block.encode(), np.uint8)
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    rows, extra = divmod(len(seps), width)
+    newline = raw[seps] == ord("\n")
+    if (extra or np.count_nonzero(newline) != rows
+            or not newline[width - 1::width].all()):
+        return None
+    stops = seps.reshape(rows, width)
+    starts = np.concatenate(([0], seps[:-1] + 1)).reshape(rows, width)
+    if (stops[:, -1] - starts[:, 0]).max() >= limit:
+        return None
+    fields = block.replace("\n", ",").split(",")  # the last one is ""
+    columns = [fields[i:-1:width] for i in range(width)]
+    try:
+        for i in np.flatnonzero(integer):
+            values = _decimal_column(raw, starts[:, i], stops[:, i])
+            columns[i] = (_int_column(columns[i], "") if values is None
+                          else values)
+    except ValueError:
+        return None
+    return columns
+
+
+def _read_table(path: str, cls: type[_Table]) -> _Table:
+    """One table from a file `write_movielib` made, as one `csv.reader`
+    pass over it reads it: a row whose field count differs from the
+    header's is rejected with its line number, as is one the csv module
+    rejects; integer fields accept what `int()` accepts.
+
+    After a plain header line, blocks of about `_READ_BLOCK_CHARS`
+    characters, finished at a line end, are read by `_plain_columns`. From
+    the first block (or header) that is not plain, `csv.reader` reads the
+    rest, its line numbers counted on from the lines before.
+    """
     limit = csv.field_size_limit()
-    width = len(cls.HEADER)
     integer = [name in cls.INTEGERS for name in cls.RECORD._fields]
-    strings: list[list[str]] = [[] for _ in integer]
-    arrays: list[list[np.ndarray]] = [[] for _ in integer]
-    with open(path, newline="") as fh:
-        try:
-            if fh.readline() != header or len(header) > limit:
-                return None
-            while block := fh.read(_READ_BLOCK_CHARS):
-                if block[-1] != "\n":
-                    block += fh.readline()
+    columns: list[list] = [[] for _ in integer]  # int64 arrays a block
+    done = 0  # lines read before the csv reader's first
+    try:
+        with open(path, newline="") as fh:
+            block = fh.readline()
+            if block == ",".join(cls.HEADER) + "\n" and len(block) <= limit:
+                done = 1
+                while block := fh.read(_READ_BLOCK_CHARS):
                     if block[-1] != "\n":
-                        return None
-                if any(c in block for c in _NOT_PLAIN):
-                    return None
-                # positions in UTF-8 bytes: "," and "\n" are single bytes,
-                # and a line has at least as many bytes as csv counts
-                # characters
-                raw = np.frombuffer(block.encode(), np.uint8)
-                seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-                rows, extra = divmod(len(seps), width)
-                newline = raw[seps] == ord("\n")
-                if (extra or np.count_nonzero(newline) != rows
-                        or not newline[width - 1::width].all()):
-                    return None
-                stops = seps.reshape(rows, width)
-                starts = np.empty_like(seps)
-                starts[0] = 0
-                starts[1:] = seps[:-1] + 1
-                starts = starts.reshape(rows, width)
-                if (stops[:, -1] - starts[:, 0]).max() >= limit:
-                    return None
-                fields = block.replace("\n", ",").split(",")
-                fields.pop()  # after the last line's newline
-                for i, is_int in enumerate(integer):
-                    if not is_int:
-                        strings[i] += fields[i::width]
-                        continue
-                    values = _decimal_column(raw, starts[:, i], stops[:, i])
-                    if values is None:
-                        values = np.fromiter(map(int, fields[i::width]),
-                                             np.int64, rows)
-                    arrays[i].append(values)
-        except (ValueError, OverflowError):  # int() or decoding failed
-            return None
-    return cls(*(np.concatenate(arrays[i] or [np.zeros(0, np.int64)])
-                 if is_int else strings[i]
-                 for i, is_int in enumerate(integer)))
+                        block += fh.readline()
+                    plain = _plain_columns(block, integer, limit)
+                    if plain is None:
+                        break
+                    for col, values, is_int in zip(columns, plain, integer):
+                        col += [values] if is_int else values
+                    done += len(plain[0])
+            reader = csv.reader(chain(io.StringIO(block, newline=""), fh))
+            # the csv reader's strings go straight into the block columns
+            tail = [[] if is_int else col
+                    for col, is_int in zip(columns, integer)]
+            # both tables have four fields
+            add0, add1, add2, add3 = (col.append for col in tail)
+            try:
+                if not done:
+                    header = next(reader, None)
+                    if tuple(header or ()) != cls.HEADER:
+                        raise ValueError(f"{path}: bad header {header}")
+                for row in reader:
+                    try:
+                        field0, field1, field2, field3 = row
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: line {done + reader.line_num} has "
+                            f"{len(row)} fields, the header "
+                            f"{len(cls.HEADER)}") from None
+                    add0(field0)
+                    add1(field1)
+                    add2(field2)
+                    add3(field3)
+            except csv.Error as exc:
+                raise ValueError(f"{path}: line {done + reader.line_num}: "
+                                 f"{exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return cls(*(np.concatenate(col + [_int_column(rest, f"{path}: {title}")])
+                 if is_int else col
+                 for col, rest, is_int, title in zip(columns, tail, integer,
+                                                     cls.HEADER)))
 
 
 def read_movielib(movies_path: str, watches_path: str
                   ) -> tuple[MovieTable, WatchTable]:
-    """The two tables, from files as `write_movielib` writes them.
-
-    Files of plain fields are read in blocks; any other file is read
-    again by `_read_table`, so errors and their messages are the csv
-    reader's.
-    """
-    tables = []
-    for path, cls in ((movies_path, MovieTable), (watches_path, WatchTable)):
-        table = _read_plain_table(path, cls)
-        tables.append(_read_table(path, cls) if table is None else table)
-    return tables[0], tables[1]
+    """The two tables, from files as `write_movielib` writes them."""
+    return (_read_table(movies_path, MovieTable),
+            _read_table(watches_path, WatchTable))

@@ -532,6 +532,24 @@ def test_oversized_watch_field_exits_2(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["topk", "hist"])
+def test_movie_file_not_utf8_exits_2(capsys, tmp_path, command):
+    movies = tmp_path / "movies.csv"
+    watches = str(tmp_path / "watches.csv")
+    rc, _, _ = run(capsys, "movielib", "--size", "40", "--seed", "1",
+                   "--movies", str(movies), "--watches", watches)
+    assert rc == 0
+    data = movies.read_bytes()
+    cut = data.index(b"\n", len(data) // 2) + 1
+    movies.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    rc, out, err = run(capsys, command, "--movies", str(movies),
+                       "--watches", watches)
+    assert rc == 2
+    assert out == ""
+    assert f"{movies}: 'utf-8' codec can't decode byte 0xff" in err
+    assert "Traceback" not in err
+
+
 def test_topk_needs_input(capsys):
     rc, _, err = run(capsys, "topk")
     assert rc == 2

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import math
 from dataclasses import replace
 
@@ -620,6 +621,22 @@ def test_movielib_pinned_bytes_and_records(tmp_path, seed, size, movies_file,
     assert read_movielib(str(mp), str(wp)) == (movies, watches)
 
 
+def test_movielib_quotes_carriage_returns(tmp_path):
+    movies = MovieTable.of([("tt1", "c\rd", 1999, 90),
+                            ("tt2", "e", 2000, 100)])
+    watches = WatchTable.of([("w1", "tt1", "2020-01-01\r", 5),
+                             ("w2", "tt2", "2020-01-02", 7)])
+    mp, wp = tmp_path / "movies.csv", tmp_path / "watches.csv"
+    write_movielib(movies, watches, str(mp), str(wp))
+    assert mp.read_bytes() == (b"movieID,title,year,runtimeMinutes\n"
+                               b'tt1,"c\rd",1999,90\n'
+                               b"tt2,e,2000,100\n")
+    assert wp.read_bytes() == (b"watchID,movieID,date,minutesWatched\n"
+                               b'w1,tt1,"2020-01-01\r",5\n'
+                               b"w2,tt2,2020-01-02,7\n")
+    assert read_movielib(str(mp), str(wp)) == (movies, watches)
+
+
 def test_movie_tables_are_sequences_of_records():
     movies, watches = gen_movielib(50, seed=8)
     records = list(watches)
@@ -699,9 +716,74 @@ def _outcome(read, *args):
         return type(exc), str(exc)
 
 
+def _csv_read_table(path: str, cls):
+    """One table from a file `write_movielib` made, read in one
+    `csv.reader` pass: the reference for `read_movielib`.
+
+    A row whose field count differs from the header's is rejected, with
+    its line number, and so is one the csv module rejects, such as a field
+    past its size limit. Integer fields accept what `int()` accepts.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if tuple(header or ()) != cls.HEADER:
+                raise ValueError(f"{path}: bad header {header}")
+            # both tables have four fields
+            columns = ([], [], [], [])
+            add0, add1, add2, add3 = (col.append for col in columns)
+            for row in reader:
+                try:
+                    field0, field1, field2, field3 = row
+                except ValueError:
+                    raise ValueError(f"{path}: line {reader.line_num} has "
+                                     f"{len(row)} fields, the header "
+                                     f"{len(cls.HEADER)}") from None
+                add0(field0)
+                add1(field1)
+                add2(field2)
+                add3(field3)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: "
+                             f"{exc}") from None
+    return cls(*(generators._int_column(col, f"{path}: {title}")
+                 if name in cls.INTEGERS else col
+                 for name, title, col in zip(cls.RECORD._fields, cls.HEADER,
+                                             columns)))
+
+
 def _csv_reads(mp, wp):
-    return (generators._read_table(str(mp), MovieTable),
-            generators._read_table(str(wp), WatchTable))
+    return (_csv_read_table(str(mp), MovieTable),
+            _csv_read_table(str(wp), WatchTable))
+
+
+def _csv_file(table, terminator: str) -> bytes:
+    """The header and rows of `table` as `csv.writer` writes them under
+    `terminator`, each line ending in "\n"."""
+    lines = [",".join(table.HEADER) + "\n"]
+    for row in table:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=terminator).writerow(row)
+        lines.append(buf.getvalue().removesuffix(terminator) + "\n")
+    return "".join(lines).encode()
+
+
+def _csv_reader_lines(path, cls) -> str:
+    """The text `generators._read_table(path, cls)` hands to csv.reader,
+    checking that the table it reads is the csv reference's."""
+    pulled = []
+
+    def counting_reader(lines, *args, **kwargs):
+        return real_reader((pulled.append(line) or line for line in lines),
+                           *args, **kwargs)
+
+    real_reader = csv.reader
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generators.csv, "reader", counting_reader)
+        got = _outcome(generators._read_table, str(path), cls)
+    assert got == _outcome(_csv_read_table, str(path), cls)
+    return "".join(pulled)
 
 
 def _small_blocks(mp: pytest.MonkeyPatch) -> None:
@@ -728,29 +810,32 @@ def test_movielib_blocks_write_csv_bytes_and_read_back(tmp_path_factory,
     with pytest.MonkeyPatch.context() as patch:
         _small_blocks(patch)
         write_movielib(movies, watches, str(mp), str(wp))
-        for path, table in ((d / "ref_movies.csv", movies),
-                            (d / "ref_watches.csv", watches)):
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(table.HEADER)
-                writer.writerows(table)
-        assert mp.read_bytes() == (d / "ref_movies.csv").read_bytes()
-        assert wp.read_bytes() == (d / "ref_watches.csv").read_bytes()
-        got = _outcome(read_movielib, str(mp), str(wp))
-        assert got == _outcome(_csv_reads, mp, wp)
         fields = [f for row in movie_rows + watch_rows for f in row
                   if isinstance(f, str)]
-        # csv.writer leaves a lone "\r" unquoted under a "\n" line
-        # terminator on some Python versions, so such a field need not
-        # survive the csv module's own round trip
-        if not any("\r" in f for f in fields):
-            assert got == (movies, watches)
-        # files of plain fields never leave the block reader
-        if not any(c in f for f in fields for c in ',"\r\n\0'):
-            assert generators._read_plain_table(str(mp), MovieTable) \
-                == movies
-            assert generators._read_plain_table(str(wp), WatchTable) \
-                == watches
+        for path, table in ((mp, movies), (wp, watches)):
+            # csv.writer's quoting, with "\r" quoted as "\n" is
+            assert path.read_bytes() == _csv_file(table, "\r\n")
+            if not any("\r" in f for f in fields):
+                assert path.read_bytes() == _csv_file(table, "\n")
+        got = _outcome(read_movielib, str(mp), str(wp))
+        assert got == _outcome(_csv_reads, mp, wp)
+        assert got == (movies, watches)
+        # csv.reader reads nothing of a file of plain fields, and of any
+        # other file only whole lines from its first block that is not
+        for path, table in ((mp, movies), (wp, watches)):
+            text = path.read_bytes().decode()
+            pulled = _csv_reader_lines(path, type(table))
+            assert text.endswith(pulled)
+            start = len(text) - len(pulled)
+            assert start and text[start - 1] == "\n"
+            bad = [text.find(c) for c in '"\r\0' if c in text]
+            if not bad:
+                assert pulled == ""
+                continue
+            # the line holding the first such character is in csv.reader's
+            # first block
+            first = text.rfind("\n", 0, min(bad)) + 1
+            assert start <= first < start + generators._READ_BLOCK_CHARS
 
 
 def _corrupt_ragged_late(movies: str, watches: str):
@@ -789,6 +874,11 @@ def _corrupt_no_final_newline(movies: str, watches: str):
     return movies[:-1], watches[:-1]
 
 
+def _corrupt_short_last_line(movies: str, watches: str):
+    # an unterminated last line of one field holds no separator to count
+    return movies, watches + "w9"
+
+
 def _corrupt_header_only(movies: str, watches: str):
     return movies.splitlines(keepends=True)[0], watches[:watches.index("\n")]
 
@@ -815,11 +905,30 @@ def _corrupt_past_int64(movies: str, watches: str):
     return "".join(lines), watches
 
 
+def _corrupt_quoted_title_late(movies: str, watches: str):
+    lines = movies.splitlines(keepends=True)
+    row = lines[-1].split(",")
+    lines[-1] = ",".join(row[:1] + ['"Crouching Tiger, Hidden Dragon"']
+                         + row[2:])
+    return "".join(lines), watches
+
+
+def _corrupt_multiline_title_then_ragged(movies: str, watches: str):
+    # a title holding a newline in the second block, and a ragged row
+    # later, whose line number counts the title's two lines
+    lines = movies.splitlines(keepends=True)
+    row = lines[4].split(",")
+    lines[4] = ",".join(row[:1] + ['"Two\nlines"'] + row[2:])
+    lines[-6] = "tt9,Movie 9,1999\n"
+    return "".join(lines), watches
+
+
 @pytest.mark.parametrize("corrupt", [
     _corrupt_ragged_late, _corrupt_blank_line,
     _corrupt_over_limit, _corrupt_year_then_runtime, _corrupt_crlf,
     _corrupt_no_final_newline, _corrupt_header_only, _corrupt_bad_header, _corrupt_odd_integers,
-    _corrupt_past_int64])
+    _corrupt_past_int64, _corrupt_quoted_title_late,
+    _corrupt_multiline_title_then_ragged, _corrupt_short_last_line])
 def test_read_movielib_equals_csv_reader_on_corrupt_files(tmp_path,
                                                           monkeypatch,
                                                           corrupt):
@@ -833,7 +942,8 @@ def test_read_movielib_equals_csv_reader_on_corrupt_files(tmp_path,
     want = _outcome(_csv_reads, mp, wp)
     assert _outcome(read_movielib, str(mp), str(wp)) == want
     if corrupt in (_corrupt_crlf, _corrupt_no_final_newline,
-                   _corrupt_header_only, _corrupt_odd_integers):
+                   _corrupt_header_only, _corrupt_odd_integers,
+                   _corrupt_quoted_title_late):
         assert isinstance(want[1], WatchTable)  # the csv reader takes them
     else:
         assert isinstance(want[0], type) and want[0] is ValueError
