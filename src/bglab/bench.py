@@ -16,6 +16,7 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from statistics import median
 from typing import Any, Callable
 
@@ -84,16 +85,8 @@ def watch_counts(watches, strategy: str = "hash") -> dict[str, int]:
     if strategy == "hash":
         return dict(Counter(movie_ids))
     if strategy == "sorted":
-        ids = sorted(movie_ids)
-        counts: dict[str, int] = {}
-        i = 0
-        while i < len(ids):
-            j = i
-            while j < len(ids) and ids[j] == ids[i]:
-                j += 1
-            counts[ids[i]] = j - i
-            i = j
-        return counts
+        return {movie_id: len(list(run))
+                for movie_id, run in groupby(sorted(movie_ids))}
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

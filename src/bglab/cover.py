@@ -355,8 +355,8 @@ class _StateGraph:
 
     State 0 covers no row. State s holds its covered rows (`covs[s]`) and
     its tie set from the engine's `ties` (`tie_sets[s]`, empty when it
-    covers every row); for the walk's numpy steps, `nties[s]`, `final[s]`,
-    `ties[s]` (the tie set padded with its first column) and `follow[s]`
+    covers every row); for the walk's numpy steps, `nties[s]`, `ties[s]`
+    (the tie set padded with its first column) and `follow[s]`
     (the state each tied column leads to, -1 until a lane takes it). The
     states a step reaches first are added in Python and their array rows
     written at once (`_write`). The graph holds at most `_TIE_MEMO_STATES`
@@ -371,13 +371,8 @@ class _StateGraph:
         self.tie_sets: list[tuple[int, ...]] = []
         self.written = 0
         self.nties = np.zeros(0, np.intp)
-        self.final = np.zeros(0, bool)
         self.ties = np.zeros((0, n), np.int32)
         self.follow = np.zeros((0, n), np.int32)
-        # column j's bit in a lane's picked set of one or two uint64 words
-        self.bits = np.zeros((n, 1 if n <= 64 else 2), np.uint64)
-        for j in range(n):
-            self.bits[j, j >> 6] = 1 << (j & 63)
 
     def _state(self, cov: int) -> int:
         """The state that covers `cov`, added if new; -1 past the cap."""
@@ -399,12 +394,11 @@ class _StateGraph:
         start, end = self.written, len(self.covs)
         if start == end:
             return
-        if end > len(self.final):
-            extra = max(64, end, 2 * len(self.final)) - len(self.final)
+        if end > len(self.nties):
+            extra = max(64, end, 2 * len(self.nties)) - len(self.nties)
             n = self.engine.n
             self.nties = np.concatenate([self.nties, np.zeros(extra,
                                                               np.intp)])
-            self.final = np.concatenate([self.final, np.zeros(extra, bool)])
             self.ties = np.concatenate([self.ties,
                                         np.zeros((extra, n), np.int32)])
             self.follow = np.concatenate([self.follow,
@@ -415,7 +409,6 @@ class _StateGraph:
                            int(counts.sum()))
         firsts = np.cumsum(counts) - counts
         self.nties[start:end] = counts
-        self.final[start:end] = counts == 0
         live = np.flatnonzero(counts) + start
         self.ties[live] = flat[firsts[counts > 0], None]
         self.ties[np.repeat(np.arange(start, end), counts),
@@ -424,22 +417,22 @@ class _StateGraph:
 
     def walk(self, lanes: int, choose) -> tuple[np.ndarray, dict[int, int]]:
         """Walk `lanes` replicas from state 0 in lockstep, one pick per
-        step; returns every lane's picked columns as bits (`lanes` rows of
-        `bits`' width) and, for each lane that left the walk, the rows it
-        covered when it left.
+        step; returns every lane's picked columns (`picked[j, lane]` is
+        True iff the lane picked column j) and, for each lane that left
+        the walk, the rows it covered when it left.
 
         `choose(act, at)` gives, for the lanes `act` (ascending) at the
         states `at`, the position in its tie set of the column each lane
         picks, or -1 for a lane that leaves the walk there. A state that
         fails to build raises `_LaneError` for the first lane to reach it.
         """
-        sets = np.zeros((lanes, self.bits.shape[1]), np.uint64)
+        picked = np.zeros((self.engine.n, lanes), bool)
         try:
             root = self._state(0)
         except Exception as exc:
             raise _LaneError(0) from exc
         if root < 0:
-            return sets, dict.fromkeys(range(lanes), 0)
+            return picked, dict.fromkeys(range(lanes), 0)
         self._write()
         left: dict[int, int] = {}
         act = np.arange(lanes)
@@ -452,7 +445,7 @@ class _StateGraph:
                     left[lane] = self.covs[s]
                 act, at, pick = act[stay], at[stay], pick[stay]
             col = self.ties[at, pick]
-            sets[act] |= self.bits[col]
+            picked[col, act] = True
             nxt = self.follow[at, pick]
             new = np.flatnonzero(nxt < 0)
             if new.size:
@@ -465,9 +458,9 @@ class _StateGraph:
                                           col[~stay].tolist()):
                         left[lane] = self.covs[s] | masks[j]
                     act, nxt = act[stay], nxt[stay]
-            live = ~self.final[nxt]
+            live = self.nties[nxt] > 0
             act, at = act[live], nxt[live]
-        return sets, left
+        return picked, left
 
     def _follow(self, act: np.ndarray, at: np.ndarray,
                 pick: np.ndarray) -> np.ndarray:

@@ -471,10 +471,13 @@ def gen_random_instance(m_rows: int, n_cols: int, deg_min: int, deg_max: int,
         sample = (_tail_sample if deg > tail_above else _floyd_sample)(
             next_word, n_cols, deg)
         rows.append(tuple(sorted(sample)))
-    return BigraphInstance(
+    # each row is distinct, in range and of ints as drawn
+    rows = tuple(rows)
+    return BigraphInstance._trusted(
         name=f"m{m_rows}_{n_cols}_{deg_min}_{deg_max}",
-        n_cols=n_cols, m_rows=m_rows, rows=tuple(rows),
-        col_weights=(1.0,) * n_cols, weight_kind=UNIT)
+        n_cols=n_cols, m_rows=m_rows, rows=rows,
+        col_weights=(1.0,) * n_cols, weight_kind=UNIT,
+        _literals=_literals_of(rows))
 
 
 def permute_columns(instance: BigraphInstance,

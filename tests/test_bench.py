@@ -355,6 +355,12 @@ def test_tables_and_record_lists_agree(size, seed):
     assert watch_counts(watches) == recount
 
 
+def test_sorted_counts_ascend_by_id():
+    _, watches = gen_movielib(3000, 6)
+    assert list(watch_counts(watches, "sorted").items()) == \
+        sorted(watch_counts(watches).items())
+
+
 def test_topk_unknown_movie_in_a_table():
     movies, watches = gen_movielib(20, seed=4)
     with pytest.raises(ValueError, match=r"watch w\d+ references unknown"):

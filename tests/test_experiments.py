@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import statistics
+import warnings
 from collections import Counter
 
 import pytest
@@ -291,6 +292,21 @@ def test_registry_overlay(tmp_path, monkeypatch):
     assert registry.get("custom.cnfU") == 3
     assert registry.note("custom.cnfU") == "local run"
     assert registry.get("scpb1.cnfU") == 22
+    monkeypatch.setattr(experiments, "_default_registry", None)
+
+
+def test_generated_m_suite_gets_bkv_only_from_a_file(tmp_path, monkeypatch):
+    # gen_random_instance names its instances after the published m* files
+    # without their rows, so only an explicit registry file attaches a value
+    inst = gen_random_instance(100, 100, 10, 15, seed=7)
+    assert inst.name == "m100_100_10_15"
+    monkeypatch.setattr(experiments, "_default_registry", None)
+    monkeypatch.delenv(experiments.BKV_REGISTRY_ENV, raising=False)
+    assert default_registry().lookup_instance(inst) is None
+    path = tmp_path / "m_suite.json"
+    path.write_text(json.dumps({"m100_100_10_15.cnfU": 11}))
+    monkeypatch.setenv(experiments.BKV_REGISTRY_ENV, str(path))
+    assert default_registry().lookup_instance(inst) == 11
     monkeypatch.setattr(experiments, "_default_registry", None)
 
 
@@ -728,6 +744,19 @@ def test_walk_failure_names_replica(monkeypatch):
         assert messages[BLOCK_SEEDS, solver].startswith(
             f"{inst.name}: solver {solver} failed on replica ")
         assert messages[BLOCK_SEEDS, solver].endswith(": boom")
+
+
+@pytest.mark.parametrize("solver", experiments.SOLVERS)
+def test_walked_overflow_rejected(solver):
+    # a walk sums its lanes' covers at once; an overflow there is the
+    # replica loop's error, with no numpy warning on the way
+    huge = parse_cnf("p cnf 2 2\nw 1 1e308\nw 2 1.5e308\n1 0\n2 0\n",
+                     name="huge")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^huge: the cover value "
+                           r"overflows a float$"):
+            run_cover_distribution(huge, BLOCK_SEEDS, solver)
 
 
 def test_converge_passes_tie_tol():

@@ -367,6 +367,28 @@ def test_gen_random_replays_numpy_tail_shuffle(shape, seed, tails):
     assert {len(row) > 10001 // 50 for row in inst.rows} == tails
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_shapes() | st.just((40, 10001, 150, 250)),
+       st.integers(0, 2**64 - 1))
+@example((40, 10001, 150, 250), 3)
+def test_gen_random_equals_public_constructor(shape, seed):
+    # the instance skips the constructor's checks; both samplers' rows
+    # pass them and come out as the constructor makes them
+    inst = gen_random_instance(*shape, seed)
+    fields = {k: v for k, v in vars(inst).items() if k != "_literals"}
+    public = BigraphInstance(**fields)
+    assert vars(public).keys() == vars(inst).keys()
+    for key, value in fields.items():
+        assert vars(public)[key] == value
+    assert type(inst.rows) is tuple and type(inst.col_weights) is tuple
+    assert all(type(row) is tuple for row in inst.rows)
+    assert all(type(lit) is int for row in inst.rows for lit in row)
+    assert all(type(w) is float for w in inst.col_weights)
+    for got, want in zip(inst._literals, public._literals, strict=True):
+        assert got.dtype == want.dtype and not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+
+
 def test_gen_random_rejects_low_words(monkeypatch):
     # 0 is rejected by bound 3 ((2^32 - 3) % 3 = 1); bounds 2 and 4 reject
     # nothing
