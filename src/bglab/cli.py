@@ -1,8 +1,9 @@
 """Command-line workbench.
 
 Subcommands: stats, match, cover, dist, converge, ub, gen, iso, urn,
-movielib, topk, hist, bench. Output goes to stdout or --out as plain table
-text, CSV, or JSON. Deterministic commands produce byte-identical output for
+movielib, topk, hist, bench. Every command but gen, iso and movielib hands
+its records to `_output`, which writes plain table text, CSV or JSON to
+stdout or --out. Deterministic commands produce byte-identical output for
 fixed seeds. Exit status is 0 on success and 2 on any error.
 """
 
@@ -39,24 +40,28 @@ def _load_instance(path: str, as_format: str = "auto",
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _rows_output(args, header: tuple[str, ...], rows: list[tuple]) -> None:
-    if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(str(v) for v in row) for row in rows]
-        _emit(args, "\n".join(lines) + "\n")
+def _output(args, header: tuple[str, ...], rows: list[tuple],
+            table: list[str] | None = None, payload=None) -> None:
+    """The one exit for records: CSV writes the header and the rows, JSON
+    writes `payload` or one object per row, and a table writes the `table`
+    lines or each row joined by spaces."""
+    if args.format == "csv":
+        lines = [",".join(str(v) for v in row) for row in [header, *rows]]
+    elif args.format == "json":
+        if payload is None:
+            payload = [dict(zip(header, row)) for row in rows]
+        lines = [json.dumps(payload, indent=2)]
     else:
-        lines = [" ".join(str(v) for v in row) for row in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        lines = table if table is not None else [
+            " ".join(str(v) for v in row) for row in rows]
+    _emit(args, "\n".join(lines) + "\n")
 
 
 def _parse_sizes(size_list: str) -> list[int]:
@@ -90,22 +95,18 @@ def _parse_sizes(size_list: str) -> list[int]:
 def cmd_stats(args) -> int:
     inst = _load_instance(args.path, args.as_format, args.unit)
     st = instances.compute_stats(inst)
-    _rows_output(args, ("instance", "nCols", "mRows", "mDens", "mCD"),
-                 [(inst.name, st.n_cols, st.m_rows,
-                   fmt_fixed(st.m_dens, 4), st.m_cd)]
-                 if args.format != "table" else
-                 [(st.n_cols, st.m_rows, fmt_fixed(st.m_dens, 4), st.m_cd)])
+    row = (inst.name, st.n_cols, st.m_rows, fmt_fixed(st.m_dens, 4), st.m_cd)
+    _output(args, ("instance", "nCols", "mRows", "mDens", "mCD"), [row],
+            [" ".join(str(v) for v in row[1:])])
     return 0
 
 
 def cmd_match(args) -> int:
     inst = _load_instance(args.path, args.as_format, args.unit)
     result = max_matching(inst)
-    if args.format == "table":
-        _emit(args, f"{result.size} {fmt_fixed(result.m_p, 2)}\n")
-    else:
-        _rows_output(args, ("instance", "size", "mP"),
-                     [(inst.name, result.size, fmt_fixed(result.m_p, 2))])
+    row = (inst.name, result.size, fmt_fixed(result.m_p, 2))
+    _output(args, ("instance", "size", "mP"), [row],
+            [" ".join(str(v) for v in row[1:])])
     return 0
 
 
@@ -118,20 +119,16 @@ def cmd_cover(args) -> int:
     else:
         sol = cover.greedy_iso(inst, args.replica, args.tie_tol)
     coord = "".join(str(c) for c in sol.coord)
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "instance": inst.name, "solver": args.solver,
-            "replicaId": sol.replica_id, "value": sol.value,
-            "nOps": sol.n_ops, "coord": coord}, indent=2) + "\n")
-    elif args.format == "csv":
-        _rows_output(args, ("instance", "solver", "replicaId", "value",
-                            "nOps", "coord"),
-                     [(inst.name, args.solver, sol.replica_id,
-                       fmt_number(sol.value), sol.n_ops, coord)])
-    else:
-        _emit(args, f"value {fmt_number(sol.value)} nOps {sol.n_ops} "
-                    f"coord {coord}\n")
+    header = ("instance", "solver", "replicaId", "value", "nOps", "coord")
+    row = (inst.name, args.solver, sol.replica_id, fmt_number(sol.value),
+           sol.n_ops, coord)
+    _output(args, header, [row],
+            [f"value {row[3]} nOps {sol.n_ops} coord {coord}"],
+            {**dict(zip(header, row)), "value": sol.value})
     return 0
+
+
+HISTOGRAM_HEADER = ("instance", "numSeeds", "value", "count")
 
 
 def _histogram_lines(summary) -> list[str]:
@@ -145,39 +142,34 @@ def _histogram_lines(summary) -> list[str]:
     return lines
 
 
+def _histogram_rows(summary) -> list[tuple]:
+    return [(name, seeds, fmt_number(v, 9), c)
+            for name, seeds, v, c in experiments.summary_rows(summary)]
+
+
+def _histogram_json(summary) -> dict[str, int]:
+    return {fmt_number(v, 9): c
+            for v, c in sorted(summary.value_histogram.items())}
+
+
 def cmd_dist(args) -> int:
     inst = _load_instance(args.path, args.as_format, args.unit)
     summary = experiments.run_cover_distribution(
         inst, args.seeds, solver=args.solver, seed_mode=args.seed_mode,
         bkv=args.bkv, meta_seed=args.meta_seed, tie_tol=args.tie_tol)
     values = experiments.stats_string(summary.stats)
-    if args.format == "json":
-        payload = {
-            "instance": summary.instance_name, "numSeeds": summary.num_seeds,
-            "solver": summary.solver, "valueStats": values,
-            "histogram": {fmt_number(v, 9): c for v, c in
-                          sorted(summary.value_histogram.items())},
-        }
-        if summary.bkv is not None:
-            payload["bkv"] = summary.bkv
-            payload["ratioStats"] = experiments.ratio_string(summary.stats,
-                                                             summary.bkv)
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        rows = experiments.summary_rows(summary)
-        _rows_output(args, ("instance", "numSeeds", "value", "count"),
-                     [(name, seeds, fmt_number(v, 9), c)
-                      for name, seeds, v, c in rows])
-    else:
-        lines = [f"instance {summary.instance_name} seeds {summary.num_seeds} "
-                 f"solver {summary.solver}",
-                 f"values {values}"]
-        if summary.bkv is not None:
-            ratios = experiments.ratio_string(summary.stats, summary.bkv)
-            lines.append(f"ratios {ratios} (bkv {fmt_exact(summary.bkv)})")
-        lines.append("histogram:")
-        lines += _histogram_lines(summary)
-        _emit(args, "\n".join(lines) + "\n")
+    lines = [f"instance {summary.instance_name} seeds {summary.num_seeds} "
+             f"solver {summary.solver}", f"values {values}"]
+    payload = {"instance": summary.instance_name,
+               "numSeeds": summary.num_seeds, "solver": summary.solver,
+               "valueStats": values, "histogram": _histogram_json(summary)}
+    if summary.bkv is not None:
+        # run_cover_distribution has accepted this ratio, so it cannot raise
+        ratios = experiments.ratio_string(summary.stats, summary.bkv)
+        lines.append(f"ratios {ratios} (bkv {fmt_exact(summary.bkv)})")
+        payload.update(bkv=summary.bkv, ratioStats=ratios)
+    _output(args, HISTOGRAM_HEADER, _histogram_rows(summary),
+            lines + ["histogram:"] + _histogram_lines(summary), payload)
     return 0
 
 
@@ -189,33 +181,23 @@ def cmd_converge(args) -> int:
                                            bkv=args.bkv,
                                            meta_seed=args.meta_seed,
                                            tie_tol=args.tie_tol)
-    if args.format == "json":
-        payload = []
-        for s in summaries:
-            payload.append({"numSeeds": s.num_seeds,
-                            "histogram": {fmt_number(v, 9): c for v, c in
-                                          sorted(s.value_histogram.items())}})
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        rows = []
-        for s in summaries:
-            rows += [(s.instance_name, s.num_seeds, fmt_number(v, 9), c)
-                     for _, _, v, c in experiments.summary_rows(s)]
-        _rows_output(args, ("instance", "numSeeds", "value", "count"), rows)
-    else:
-        lines = []
-        for s in summaries:
-            lines.append(f"num_seeds {s.num_seeds}")
-            lines += _histogram_lines(s)
-        _emit(args, "\n".join(lines) + "\n")
+    rows, lines, payload = [], [], []
+    for s in summaries:
+        rows += _histogram_rows(s)
+        lines += [f"num_seeds {s.num_seeds}"] + _histogram_lines(s)
+        payload.append({"numSeeds": s.num_seeds,
+                        "histogram": _histogram_json(s)})
+    _output(args, HISTOGRAM_HEADER, rows, lines, payload)
     return 0
 
 
 def cmd_ub(args) -> int:
     if args.path:
+        if args.mcd is not None:
+            raise ValueError("--mcd is read from the instance; "
+                             "pass either a path or --mcd")
         inst = _load_instance(args.path, args.as_format, args.unit)
-        st = instances.compute_stats(inst)
-        m_cd = st.m_cd
+        m_cd = instances.compute_stats(inst).m_cd
         bkv = args.bkv
         if bkv is None:
             bkv = experiments.default_registry().lookup_instance(inst)
@@ -228,17 +210,12 @@ def cmd_ub(args) -> int:
     bound = cover.harmonic_bound(bkv, m_cd)
     # two decimals, unless they would print a positive bound as 0
     ub = fmt_number(bound.ub) if round(bound.ub, 2) else repr(bound.ub)
-    if args.format == "json":
-        _emit(args, json.dumps({"bkv": bkv, "mCD": bound.d,
-                                "harmonic": bound.h_d, "UB": bound.ub},
-                               indent=2) + "\n")
-    elif args.format == "csv":
-        _rows_output(args, ("bkv", "mCD", "harmonic", "UB"),
-                     [(fmt_exact(bkv), bound.d, fmt_number(bound.h_d, 3),
-                       ub)])
-    else:
-        _emit(args, f"mCD {bound.d} harmonic {fmt_number(bound.h_d, 3)} "
-                    f"UB {ub}\n")
+    harmonic = fmt_number(bound.h_d, 3)
+    _output(args, ("bkv", "mCD", "harmonic", "UB"),
+            [(fmt_exact(bkv), bound.d, harmonic, ub)],
+            [f"mCD {bound.d} harmonic {harmonic} UB {ub}"],
+            {"bkv": bkv, "mCD": bound.d, "harmonic": bound.h_d,
+             "UB": bound.ub})
     return 0
 
 
@@ -275,7 +252,7 @@ def cmd_urn(args) -> int:
         trials = args.trials if args.trials is not None else size
         frac = generators.urn_trial(size, trials, args.seed + offset)
         rows.append((size, trials, f"{frac:.6f}"))
-    _rows_output(args, ("size", "trials", "unique_fraction"), rows)
+    _output(args, ("size", "trials", "unique_fraction"), rows)
     return 0
 
 
@@ -298,7 +275,7 @@ def _records_for(args):
 def cmd_topk(args) -> int:
     movies, watches = _records_for(args)
     result = bench.topk_movies(movies, watches, args.k, args.strategy)
-    _rows_output(args, ("movieID", "watchCount"), list(result.entries))
+    _output(args, ("movieID", "watchCount"), list(result.entries))
     return 0
 
 
@@ -306,7 +283,7 @@ def cmd_hist(args) -> int:
     _, watches = _records_for(args)
     hist = bench.watch_histogram(watches)
     rows = [(idx, hist[idx]) for idx in sorted(hist)]
-    _rows_output(args, ("watchCount", "numMovies"), rows)
+    _output(args, ("watchCount", "numMovies"), rows)
     return 0
 
 
@@ -323,7 +300,9 @@ def cmd_bench(args) -> int:
         sweep = bench.asymptotic_sweep(sizes, task, repetitions=args.reps)
     for size, message in sweep.failures.items():
         sys.stderr.write(f"size {size} failed: {message}\n")
-    _emit(args, bench.sweep_csv(sweep.rows))
+    _output(args, ("size", "runtime_read", "runtime_solve", "label"),
+            [(r.size_param, f"{r.runtime_read:.6f}", f"{r.runtime_solve:.6f}",
+              r.label) for r in sweep.rows])
     return 0
 
 
@@ -370,29 +349,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("dist", help="seeded cover distribution")
-    _add_instance_args(p)
-    p.add_argument("--solver", choices=experiments.SOLVERS, default="stoc")
-    p.add_argument("--seeds", type=int, default=1000)
-    p.add_argument("--seed-mode", choices=experiments.SEED_MODES,
-                   default="consecutive")
-    p.add_argument("--bkv", type=float, default=None)
-    p.add_argument("--meta-seed", type=int, default=0)
-    p.add_argument("--tie-tol", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_dist)
-
-    p = sub.add_parser("converge", help="histograms at growing seed counts")
-    _add_instance_args(p)
-    p.add_argument("--solver", choices=experiments.SOLVERS, default="stoc")
-    p.add_argument("--counts", default="100,1000,10000")
-    p.add_argument("--seed-mode", choices=experiments.SEED_MODES,
-                   default="consecutive")
-    p.add_argument("--bkv", type=float, default=None)
-    p.add_argument("--meta-seed", type=int, default=0)
-    p.add_argument("--tie-tol", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_converge)
+    for name, help_text, func, count_flag, count_default in (
+            ("dist", "seeded cover distribution", cmd_dist, "--seeds", 1000),
+            ("converge", "histograms at growing seed counts", cmd_converge,
+             "--counts", "100,1000,10000")):
+        p = sub.add_parser(name, help=help_text)
+        _add_instance_args(p)
+        p.add_argument("--solver", choices=experiments.SOLVERS,
+                       default="stoc")
+        p.add_argument(count_flag, type=type(count_default),
+                       default=count_default)
+        p.add_argument("--seed-mode", choices=experiments.SEED_MODES,
+                       default="consecutive")
+        p.add_argument("--bkv", type=float, default=None)
+        p.add_argument("--meta-seed", type=int, default=0)
+        p.add_argument("--tie-tol", type=float, default=0.0)
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("ub", help="greedy upper bound from bkv and mCD")
     p.add_argument("path", nargs="?", default=None)
@@ -431,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--movies", default="movies.csv")
     p.add_argument("--watches", default="watches.csv")
-    _add_common(p, with_seed=True)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_movielib)
 
     p = sub.add_parser("topk", help="most frequently watched movies")
@@ -457,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("hash", "sorted"), default="hash")
     p.add_argument("--reps", type=int, default=1)
     _add_common(p, with_seed=True)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, format="csv")
 
     return parser
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -586,6 +589,74 @@ def test_out_flag_writes_file(capsys, chvatal_path, tmp_path):
     assert out == ""
     assert out_path.read_text() == "6 5 0.3333 5\n"
 
+
+
+# one command line per record-writing command; `{chvatal}` is a clause file
+OUT_COMMANDS = {
+    "stats": "stats {chvatal}",
+    "match": "match {chvatal}",
+    "cover": "cover {chvatal} --solver stoc --replica 3",
+    "ub": "ub {chvatal}",
+    "dist": "dist {chvatal} --seeds 50",
+    "converge": "converge {chvatal} --counts 5,50",
+    "urn": "urn --sizes 2^4..2^6 --seed 2",
+    "topk": "topk --size 200 --seed 4 --k 5",
+    "hist": "hist --size 200 --seed 4",
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_out_flag_writes_what_stdout_gets(capsys, chvatal_path, tmp_path,
+                                          command, fmt):
+    argv = [a.format(chvatal=chvatal_path)
+            for a in OUT_COMMANDS[command].split()] + ["--format", fmt]
+    rc, stdout, _ = run(capsys, *argv)
+    out_path = tmp_path / f"{command}.{fmt}"
+    rc_file, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert (rc, rc_file, out) == (0, 0, "")
+    assert stdout.endswith("\n")
+    assert out_path.read_text() == stdout
+
+
+def test_bench_json_and_table(capsys):
+    argv = ("bench", "--task", "urn", "--sizes", "2^5,2^6")
+    rc, out, err = run(capsys, *argv, "--format", "json")
+    assert (rc, err) == (0, "")
+    records = json.loads(out)
+    assert [list(r) for r in records] == \
+        [["size", "runtime_read", "runtime_solve", "label"]] * 2
+    assert [(r["size"], r["label"]) for r in records] == \
+        [(32, "urn"), (64, "urn")]
+    rc, out, err = run(capsys, *argv, "--format", "table")
+    assert (rc, err) == (0, "")
+    lines = [line.split(" ") for line in out.splitlines()]
+    assert [(f[0], f[3]) for f in lines] == [("32", "urn"), ("64", "urn")]
+    for fields in lines:
+        assert len(fields) == 4
+        assert all(len(t.split(".")[1]) == 6 for t in fields[1:3])
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("movielib", "--size", "8", "--format", "json"), "--format"),
+    (("movielib", "--size", "8", "--out", "x.json"), "--out"),
+    (("ub", "{chvatal}", "--mcd", "3"), "--mcd"),
+], ids=["movielib-format", "movielib-out", "ub-path-mcd"])
+def test_ignored_option_exits_2(tmp_path, chvatal_path, argv, option):
+    import bglab
+
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    src = os.path.dirname(os.path.dirname(bglab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bglab.cli",
+         *(a.format(chvatal=chvatal_path) for a in argv)],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert option in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(workdir.iterdir()) == []
 
 # Golden outputs: (exit code, sha256 of stdout) of each command that
 # `_golden_commands` lists, so any change to a byte of CLI output shows up.
