@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .instances import (UNIT, BigraphInstance, UnateRequiredError,
-                        _check_cols, _literals_of)
+                        _check_cols, _decimals, _literals_of)
 
 # A column permutation is a 1-based tuple: output column idx carries input
 # column perm[idx - 1].
@@ -755,24 +755,6 @@ def write_movielib(movies, watches, movies_path: str,
                          if text is None else text)
 
 
-def _decimal_column(raw: np.ndarray, starts: np.ndarray,
-                    stops: np.ndarray) -> np.ndarray | None:
-    """int64 values of the fields raw[starts[k]:stops[k]] when each is 1 to
-    18 ASCII digits, which `int()` reads as the decimal number they spell;
-    None when any field is anything else."""
-    lengths = stops - starts
-    if not len(lengths) or lengths.min() < 1 or lengths.max() > 18:
-        return None
-    width = int(lengths.max())
-    place = np.arange(width)
-    # every field right-aligned in `width` bytes, the bytes before it zeroed
-    digits = raw[np.maximum(stops[:, None] - width + place, 0)] - ord("0")
-    digits[place < width - lengths[:, None]] = 0
-    if digits.max() > 9:  # uint8, so a byte below "0" wraps above 9
-        return None
-    return digits.astype(np.int64) @ 10 ** place[::-1]
-
-
 def _plain_columns(block: str, integer: list[bool],
                    limit: int) -> list | None:
     """The columns of `block` (string lists, and int64 arrays where
@@ -781,7 +763,8 @@ def _plain_columns(block: str, integer: list[bool],
     Then it ends with a newline, every line has one comma fewer than there
     are columns and is shorter than `limit`, it holds none of `"` `\r`
     `\0`, and its integer fields convert with `int()` into int64; fields
-    of ASCII digits alone are converted together from the bytes.
+    of an optional "-" and ASCII digits are converted together from the
+    bytes (`instances._decimals`).
     """
     if block[-1] != "\n" or any(c in block for c in _NOT_PLAIN):
         return None
@@ -803,7 +786,7 @@ def _plain_columns(block: str, integer: list[bool],
     columns = [fields[i:-1:width] for i in range(width)]
     try:
         for i in np.flatnonzero(integer):
-            values = _decimal_column(raw, starts[:, i], stops[:, i])
+            values = _decimals(raw, starts[:, i], stops[:, i])
             columns[i] = (_int_column(columns[i], "") if values is None
                           else values)
     except ValueError:

@@ -166,10 +166,21 @@ def _literals_of(rows: tuple[tuple[int, ...], ...]
 def _rows_of(lengths: np.ndarray, flat: np.ndarray
              ) -> tuple[tuple[int, ...], ...]:
     """The row tuples of the literals `flat` cut at `lengths`, with one int
-    object per distinct literal, so that the rows share them."""
-    distinct, index = np.unique(flat, return_inverse=True)
-    ints = np.array(distinct.tolist(), dtype=object)
+    object per distinct literal, so that the rows share them.
+
+    The ints come from one object array over the range of the literals (0
+    included) when it is no wider than their count, else from the sorted
+    distinct literals; rows of one length are cut by `zip`.
+    """
+    lo, hi = int(flat.min(initial=0)), int(flat.max(initial=0))
+    if hi - lo < flat.size:
+        ints, index = np.array(range(lo, hi + 1), dtype=object), flat - lo
+    else:
+        distinct, index = np.unique(flat, return_inverse=True)
+        ints = np.array(distinct.tolist(), dtype=object)
     shared = ints[index.reshape(-1)].tolist()
+    if lengths.size and (lengths == lengths[0]).all():
+        return tuple(zip(*[iter(shared)] * int(lengths[0])))
     ends = np.cumsum(lengths).tolist()
     return tuple(tuple(shared[a:b]) for a, b in zip([0] + ends, ends))
 
@@ -294,6 +305,30 @@ def _convert(tokens: list[str], dtype) -> tuple[np.ndarray, np.ndarray | None]:
     return values, bad if bad.any() else None
 
 
+def _decimals(points: np.ndarray, starts: np.ndarray, stops: np.ndarray
+              ) -> np.ndarray | None:
+    """int64 values of the tokens points[starts[k]:stops[k]] when each is an
+    optional "-" and 1 to 18 ASCII digits, which `int()` reads as the
+    number they spell; None when any token is anything else. `points` are
+    unsigned code units: UTF-8 bytes or UTF-32 code points."""
+    if not len(starts):
+        return None
+    minus = points[starts] == ord("-")
+    lengths = stops - starts - minus
+    if lengths.min() < 1 or lengths.max() > 18:
+        return None
+    width = int(lengths.max())
+    place = np.arange(width)
+    # every token right-aligned in `width` units, the units before its
+    # digits zeroed
+    digits = points[np.maximum(stops[:, None] - width + place, 0)] - ord("0")
+    digits[place < width - lengths[:, None]] = 0
+    if digits.max() > 9:  # unsigned, so a unit below "0" wraps above 9
+        return None
+    values = digits.astype(np.int64) @ 10 ** place[::-1]
+    return np.negative(values, out=values, where=minus)
+
+
 def _repeats(cols: np.ndarray, row_of: np.ndarray, skip: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the literals `cols`, of ascending 0-based rows `row_of`,
@@ -408,19 +443,28 @@ def _read_clauses(block: list[str], first_no: int, n_cols: int, m_rows: int,
     problem or weight line there is a fault.
     """
     joined = "\n".join(block)
-    tokens = joined.split()
     # tokens per line: a token starts at a non-space code point after a
-    # space or at the start, and the lines are joined at "\n"
+    # space or at the start, and ends before a space or at the end; the
+    # lines are joined at "\n"
     points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"),
                            dtype=np.uint32)
     space = _SPACE[np.minimum(points, _SPACE.size - 1)]
     starts = ~space
     starts[1:] &= space[:-1]
+    ends = ~space
+    ends[:-1] &= space[1:]
     width = np.bincount(np.cumsum(points == 10)[starts], minlength=len(block))
-    del points, space, starts
+    values = _decimals(points, np.flatnonzero(starts), np.flatnonzero(ends) + 1)
+    del points, space, starts, ends
     line_of = np.repeat(np.arange(len(block)), width)
     first_tok = np.cumsum(width) - width
-    values, bad = _convert(tokens, np.int64)
+    # a block of plain integers is converted from its code points, any
+    # other through int() token by token; token strings are made only for
+    # that, or for an error message that quotes one
+    tokens = bad = None
+    if values is None:
+        tokens = joined.split()
+        values, bad = _convert(tokens, np.int64)
 
     # every comment holds a token int() rejects, its "c"; the first other
     # line holding one ends the block's clauses
@@ -469,7 +513,7 @@ def _read_clauses(block: list[str], first_no: int, n_cols: int, m_rows: int,
         if zero_inside[first]:
             raise ParseError(line_no, "0 inside clause")
         i = np.flatnonzero((out | repeat) & (lit_line == first))[0]
-        lit = int(tokens[lit_at[i]])
+        lit = int((tokens or joined.split())[lit_at[i]])
         if out[i]:
             raise ParseError(line_no, f"index {lit} out of range")
         raise ParseError(line_no, f"duplicate column {abs(lit)}")

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bglab.generators as generators
+import bglab.instances as instances
 from bglab.cover import _SMALL_COLS, brute_force_cover, greedy_basic
 from bglab.generators import (MovieTable, ReplicaStreams, WatchRecord,
                               WatchTable, bounded_draws, gen_isomorph,
@@ -1009,18 +1010,20 @@ def test_read_movielib_reads_field_size_limit_at_call_time(tmp_path, limit):
     assert (header_only == (movies[:0], watches[:0])) == (limit >= 14)
 
 
-def test_decimal_column_equals_int():
-    fields = ["0", "7", "007", "42", "123456789012345678", "999999999999999999"]
+def test_decimals_equal_int():
+    fields = ["0", "7", "007", "42", "123456789012345678", "999999999999999999",
+              "-5", "-0", "-999999999999999999"]
     text = "".join(f"{f},\n" for f in fields)
     raw = np.frombuffer(text.encode(), np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     stops = seps[0::2]
     starts = np.concatenate(([0], seps[1::2][:-1] + 1))
-    assert generators._decimal_column(raw, starts, stops).tolist() \
+    assert instances._decimals(raw, starts, stops).tolist() \
         == list(map(int, fields))
-    for bad in ("", "+1", " 1", "1 ", "-1", "1_0", "٣", "1234567890123456789"):
+    for bad in ("", "-", "--1", "+1", " 1", "1 ", "1_0", "\u0663",
+                "1234567890123456789", "-1234567890123456789"):
         text = f"5,\n{bad},\n"
         raw = np.frombuffer(text.encode(), np.uint8)
         stops = np.array([1, 3 + len(bad.encode())])
         starts = np.array([0, 3])
-        assert generators._decimal_column(raw, starts, stops) is None
+        assert instances._decimals(raw, starts, stops) is None

@@ -1,9 +1,11 @@
 import copy
+import importlib.util
 import math
 import pickle
 import tracemalloc
 from dataclasses import replace
 from itertools import chain
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -779,6 +781,72 @@ def test_extra_clause_line_reports_its_own_fault_first(text):
     _assert_same_outcome(_outcome(parse_cnf, text),
                          _outcome(_reference_parse_cnf, text))
     assert "more than" not in str(_outcome(parse_cnf, text))
+
+
+# tokens at the edges of the decimal kernel (`instances._decimals`): the
+# most digits it reads and one more, signs it does not read, and digits
+# int() reads (all but the superscript) that are not ASCII
+EDGE_TOKENS = ["9" * 18, "-" + "9" * 18, "9" * 19, "0003", "-0", "-", "--1",
+               "+3", "1_000", "\u0663", "\uff13", "\U0001d7d1", "\u00b3"]
+
+
+@pytest.mark.parametrize("block_lines", [1, 3, 4096])
+@pytest.mark.parametrize("line", [
+    *(f"{token} 2 0" for token in EDGE_TOKENS),
+    *(f"1 2 {token}" for token in EDGE_TOKENS),
+    "c a comment between plain clauses"])
+def test_parse_cnf_reads_edge_tokens_as_reference(line, block_lines):
+    # the edge line sits among plain clauses, in a block of its own or in
+    # one the kernel would read whole
+    plain = [f"{j} -{j + 1} 0" for j in range(1, 9)]
+    m = len(plain) + (line[0] != "c")
+    text = "\n".join([f"p cnf 9 {m}", *plain[:4], line, *plain[4:]]) + "\n"
+    with patch.object(instances_module, "_BLOCK_LINES", block_lines):
+        new = _outcome(parse_cnf, text)
+    _assert_same_outcome(new, _outcome(_reference_parse_cnf, text))
+
+
+def _one_int_per_literal(inst: BigraphInstance) -> bool:
+    literals = [lit for row in inst.rows for lit in row]
+    return len(set(map(id, literals))) == len(set(literals))
+
+
+def _steiner_text(k: int) -> str:
+    """AG(k, 3) as the benchmark writes it, from `perfbench/inputs.py`
+    loaded by file path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.steiner_instance(k, 0)[1]
+
+
+def _wide_binate_text() -> str:
+    """Rows of 1-5 binate literals over 40 columns spread across 10^5: the
+    range of the literals is wider than their count."""
+    rng = np.random.default_rng(3)
+    pool = rng.choice(10**5, 40, replace=False) + 1
+    rows = tuple(tuple(int(c) * sign for c, sign in zip(
+        rng.choice(pool, rng.integers(1, 6), replace=False),
+        rng.choice([-1, 1], 5))) for _ in range(200))
+    return write_cnf(BigraphInstance(name="wide", n_cols=10**5, m_rows=200,
+                                     rows=rows, col_weights=(1.0,) * 10**5,
+                                     weight_kind=UNIT))
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(lambda: _steiner_text(5), id="AG(5,3)"),
+    pytest.param(lambda: write_cnf(gen_random_instance(3000, 400, 1, 8,
+                                                       seed=5)),
+                 id="random-3000x400"),
+    pytest.param(_wide_binate_text, id="wide-binate")])
+def test_parse_cnf_matches_reference_at_paper_scale(text):
+    # rows of one length (AG), rows of mixed lengths, and literals spread
+    # wider than their count: the three ways through `_rows_of`
+    text = text()
+    new = parse_cnf(text)
+    _assert_same_outcome(new, _reference_parse_cnf(text))
+    assert _one_int_per_literal(new)
 
 
 @HYPOTHESIS
