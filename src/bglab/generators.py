@@ -10,16 +10,19 @@ from __future__ import annotations
 import csv
 import datetime
 import io
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
+from operator import length_hint
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .instances import (UNIT, BigraphInstance, UnateRequiredError,
-                        _check_cols, _decimals, _literals_of)
+                        _check_cols, _decimals, _keep_literals,
+                        _literals_of)
 
 # A column permutation is a 1-based tuple: output column idx carries input
 # column perm[idx - 1].
@@ -354,10 +357,17 @@ def lemire_draw(next_word: Callable[[], int], k: int) -> int:
     m = next_word() * k
     # k bounds the threshold, so most draws skip its modulo
     if m & _MASK32 < k:
-        threshold = (_WORD - k) % k
-        while m & _MASK32 < threshold:
-            m = next_word() * k
+        m = _accepted(next_word, m, k)
     return m >> 32
+
+
+def _accepted(next_word: Callable[[], int], m: int, k: int) -> int:
+    """m, the product u * k of a draw's word u and its bound k, if Lemire's
+    method keeps it, else the product of the first later word it keeps."""
+    threshold = (_WORD - k) % k
+    while m & _MASK32 < threshold:
+        m = next_word() * k
+    return m
 
 
 def bounded_draws(words: np.ndarray, pos: np.ndarray, rows: np.ndarray,
@@ -393,15 +403,73 @@ _RAW_CHUNK = 1024
 # numpy's `choice(n, deg, replace=False)` takes a tail shuffle in place of
 # Floyd's sample when n > _FLOYD_MAX_POP and deg > n // _TAIL_SHARE
 _FLOYD_MAX_POP, _TAIL_SHARE = 10000, 50
+# Instances of this many rows or more draw them in numpy blocks
+# (`_block_rows`); a block looks at about `_BLOCK_WORDS` words.
+_BLOCK_FROM_ROWS = 64
+_BLOCK_WORDS, _BLOCK_MIN_ROWS = 1 << 16, 16
+
+
+def _stream_chunks(bit_generator) -> Iterator[np.ndarray]:
+    """The 32-bit words of `bit_generator`'s fresh stream as `next_uint32`
+    hands them out (the low half of each 64-bit output first), as uint32
+    arrays of `_RAW_CHUNK` outputs."""
+    while True:
+        yield bit_generator.random_raw(_RAW_CHUNK).astype(
+            "<u8", copy=False).view("<u4")
 
 
 def _stream_words(bit_generator) -> Callable[[], int]:
-    """The 32-bit words of `bit_generator`'s fresh stream as `next_uint32`
-    hands them out (the low half of each 64-bit output first), read
-    `_RAW_CHUNK` outputs at a time."""
-    chunks = iter(lambda: bit_generator.random_raw(_RAW_CHUNK).astype(
-        "<u8", copy=False).view("<u4").tolist(), None)
-    return chain.from_iterable(chunks).__next__
+    """The words of `_stream_chunks(bit_generator)`, one per call.
+
+    The result is a partial of `next`, which costs a call about what the
+    iterator's own `__next__` costs and can carry an attribute: `chunks`,
+    the chunk iterator itself, for a reader that takes the words as
+    arrays. A stream is read one way or the other, not both.
+    """
+    chunks = _stream_chunks(bit_generator)
+    next_word = partial(next, chain.from_iterable(
+        map(np.ndarray.tolist, chunks)))
+    next_word.chunks = chunks
+    return next_word
+
+
+class _Lookahead:
+    """The words of an iterator of uint32 arrays, read ahead: `window(n)`
+    is the next n words, not taken, `take(n)` takes them and `drawn`
+    takes those a scalar draw reads."""
+
+    def __init__(self, chunks: Iterator[np.ndarray]):
+        self._chunks = chunks
+        self._words = np.empty(0, np.uint32)
+        self._at = 0
+
+    def window(self, count: int) -> np.ndarray:
+        short = count - (self._words.size - self._at)
+        if short > 0:
+            parts = [self._words[self._at:]]
+            while short > 0:
+                parts.append(next(self._chunks))
+                short -= parts[-1].size
+            self._words, self._at = np.concatenate(parts), 0
+        return self._words[self._at:self._at + count]
+
+    def take(self, count: int) -> None:
+        self._at += count
+
+    def drawn(self, draw: Callable[[Callable[[], int]], object],
+              count: int):
+        """`draw(next_word)` on the words from here, which then count as
+        taken. `next_word` reads a list of the next `count` words; a draw
+        that reads past them is run again on twice as many."""
+        while True:
+            words = iter(self.window(count).tolist())
+            try:
+                value = draw(words.__next__)
+            except StopIteration:
+                count *= 2
+                continue
+            self._at += count - length_hint(words)
+            return value
 
 
 def _floyd_sample(next_word: Callable[[], int], n: int, deg: int
@@ -412,32 +480,190 @@ def _floyd_sample(next_word: Callable[[], int], n: int, deg: int
     Floyd's sample (Bentley & Floyd, CACM 30(9), 1987): for j from
     n - deg + 1 to n (numpy's j + 1), a column drawn from 1 .. j, or j
     itself when the draw is already taken; j = 1 draws nothing. numpy
-    then shuffles the sample with draws of bound deg down to 2.
+    then shuffles the sample with draws of bound deg down to 2; a shuffle
+    word is read only as far as Lemire's method needs to keep or reject
+    it.
     """
     picked: set[int] = set()
     for j in range(n - deg + 1, n + 1):
         col = lemire_draw(next_word, j) + 1 if j > 1 else 1
         picked.add(j if col in picked else col)
     for k in range(deg, 1, -1):
-        lemire_draw(next_word, k)
+        m = next_word() * k
+        if m & _MASK32 < k:
+            _accepted(next_word, m, k)
+    return picked
+
+
+def _floyd_cols(n: int, deg: int, draws: Iterable[int]) -> set[int]:
+    """`_floyd_sample`'s columns from its draws, made already: for j from
+    n - deg + 1 to n, the next draw (a column in 1 .. j), or j itself when
+    that column is already taken. (`_floyd_sample` keeps its own loop: a
+    generator of draws would slow the word-by-word rows.)"""
+    picked: set[int] = set()
+    for j, col in zip(range(n - deg + 1, n + 1), draws):
+        picked.add(j if col in picked else col)
     return picked
 
 
 def _tail_sample(next_word: Callable[[], int], n: int, deg: int
                  ) -> list[int]:
     """The 1-based columns of `choice(n, deg, replace=False)` on its tail
-    path: the last `deg` entries of `arange(n)` after Fisher-Yates steps
-    i = n - 1 down to max(n - deg, 1), each swapping entries i and a draw
-    of bound i + 1. Only moved entries are held, so it takes O(deg)."""
+    path: `_tail_cols` of draws of bound n down to max(n - deg, 1) + 1."""
+    return _tail_cols(n, deg, map(partial(lemire_draw, next_word),
+                                  range(n, max(n - deg, 1), -1)))
+
+
+def _tail_cols(n: int, deg: int, draws: Iterable[int]) -> list[int]:
+    """The last `deg` entries of `arange(n)`, 1-based, after Fisher-Yates
+    steps i = n - 1 down to max(n - deg, 1), each swapping entries i and
+    the next of `draws`. Only moved entries are held, so it takes
+    O(deg)."""
     moved: dict[int, int] = {}
     cols = []
-    for i in range(n - 1, max(n - deg, 1) - 1, -1):
-        j = lemire_draw(next_word, i + 1)
+    for i, j in zip(range(n - 1, max(n - deg, 1) - 1, -1), draws):
         cols.append(moved.get(j, j + 1))
         moved[j] = moved.get(i, i + 1)
     if deg == n:
         cols.append(moved.get(0, 1))
     return cols
+
+
+def _scalar_row(next_word: Callable[[], int], n_cols: int, deg_min: int,
+                span: int, tail_above: int) -> tuple[int, ...]:
+    """One row of `gen_random_instance`, drawn word by word: a degree of
+    bound `span` (none when that is 1), then its columns, ascending."""
+    deg = deg_min + lemire_draw(next_word, span) if span > 1 else deg_min
+    sample = (_tail_sample if deg > tail_above else _floyd_sample)(
+        next_word, n_cols, deg)
+    return tuple(sorted(sample))
+
+
+def _rejected(products: np.ndarray, bounds) -> np.ndarray:
+    """Which draws Lemire's method rejects, given u * k as uint64 for each
+    word u and its bound k (an array, or one bound for all)."""
+    bounds = np.asarray(bounds, np.uint64)
+    low = products & _LOW32
+    suspect = np.flatnonzero(low < bounds)
+    rejected = np.zeros(products.shape, bool)
+    if suspect.size:
+        k = np.broadcast_to(bounds, products.shape).reshape(-1)[suspect]
+        rejected.reshape(-1)[suspect] = \
+            low.reshape(-1)[suspect] < (_WORD64 - k) % k
+    return rejected
+
+
+def _row_words(deg, lead: int, n_cols: int, tail_above: int) -> np.ndarray:
+    """Words a row of degree `deg` reads when no draw is rejected: `lead`
+    for its degree, then d Floyd steps (d - 1 when d == n_cols, whose step
+    j = 1 draws nothing) and d - 1 shuffle words, or on the tail path
+    min(d, n_cols - 1) steps."""
+    return lead + np.where(deg > tail_above, np.minimum(deg, n_cols - 1),
+                           2 * deg - 1 - (deg == n_cols))
+
+
+def _block_rows(ahead: _Lookahead, m_rows: int, n_cols: int, deg_min: int,
+                deg_max: int, tail_above: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(row lengths, literals) of the `m_rows` rows `_scalar_row` draws from
+    the words of `ahead`, replayed in numpy a block of rows at a time.
+
+    A row that starts at word p takes its degree from word p (when
+    deg_min < deg_max), so `_row_words` of a row started at every position
+    of a window of the stream fixes where each of the block's rows starts,
+    found by one walk from its first word. A draw of bound k from word u
+    is u * k >> 32. A Floyd row whose drawn columns are distinct is their
+    set, as no draw finds its column taken; a Floyd row with a repeated
+    draw, and a tail row, are replayed in Python from their draws. Every
+    word is checked for a Lemire rejection: a block keeps the rows before
+    the first that has one, that row goes through `_scalar_row`, and the
+    next block starts after it.
+    """
+    span = deg_max - deg_min + 1
+    lead = int(span > 1)
+    most = lead + 2 * deg_max - 1
+    per_block = max(1, _BLOCK_WORDS // most)
+    # Floyd step t of a row of degree d, right-aligned in deg_max steps,
+    # has bound n_cols - deg_max + 1 + t and is taken when t >= deg_max - d
+    bounds = np.arange(n_cols - deg_max + 1, n_cols + 1, dtype=np.uint64)
+    steps = np.arange(deg_max)
+    # words a row reads, by the draw from its first word
+    row_words = _row_words(np.arange(deg_min, deg_max + 1), lead, n_cols,
+                           tail_above)
+    lengths: list[np.ndarray] = []
+    flats: list[np.ndarray] = []
+    made, size = 0, per_block
+    while made < m_rows:
+        want = min(size, m_rows - made)
+        words = ahead.window(want * most).astype(np.uint64)
+        if lead:
+            walk = row_words[words * span >> 32].tolist()
+            starts, p = [], 0
+            for _ in range(want):
+                starts.append(p)
+                p += walk[p]
+            starts = np.array(starts)
+        else:
+            starts = np.arange(want) * int(row_words[0])
+        # with span 1 this reads a Floyd word, draws 0 and rejects nothing
+        products = words[starts] * span
+        deg = deg_min + (products >> 32).astype(np.intp)
+        bad = _rejected(products, span)
+        tail = deg > tail_above
+        eq = deg == n_cols
+        skipped = np.where(tail, deg_max, deg_max - deg)[:, None]
+        taken = steps >= skipped
+        at = np.where(taken & (bounds > 1),
+                      (starts + lead - eq)[:, None] + steps - skipped, 0)
+        products = words[at] * bounds
+        bad |= (_rejected(products, bounds) & taken).any(axis=1)
+        drawn = np.where(taken, (products >> 32) + 1, 0)
+        if deg_max > 1:
+            # shuffle word i has bound d - i; bound 1 stands for no word
+            k = np.where(tail[:, None], 1, np.maximum(
+                deg[:, None] - steps[:-1], 1)).astype(np.uint64)
+            at = np.where(k > 1, (starts + lead + deg - eq)[:, None]
+                          + steps[:-1], 0)
+            bad |= _rejected(words[at] * k, k).any(axis=1)
+        tails, tail_draws = np.flatnonzero(tail), []
+        if tails.size:
+            # tail step q has bound n_cols - q
+            count = np.minimum(deg[tails], n_cols - 1)[:, None]
+            q = np.arange(count.max())
+            k = np.where(q < count, n_cols - q, 1).astype(np.uint64)
+            at = np.where(q < count, starts[tails, None] + lead + q, 0)
+            products = words[at] * k
+            bad[tails] |= _rejected(products, k).any(axis=1)
+            tail_draws = (products >> 32).tolist()
+        keep = int(bad.argmax()) if bad.any() else want
+        cols = np.sort(drawn[:keep], axis=1)
+        repeated = ((cols[:, 1:] == cols[:, :-1])
+                    & (cols[:, :-1] > 0)).any(axis=1)
+        for r in np.flatnonzero(repeated).tolist():
+            d = int(deg[r])
+            cols[r, deg_max - d:] = sorted(_floyd_cols(
+                n_cols, d, drawn[r, deg_max - d:].tolist()))
+        for r, draws in zip(tails[tails < keep].tolist(), tail_draws):
+            d = int(deg[r])
+            cols[r, deg_max - d:] = sorted(_tail_cols(n_cols, d, draws))
+        lengths.append(deg[:keep])
+        flats.append(cols[cols > 0].astype(np.int32))
+        made += keep
+        if keep == want:
+            ahead.take(int(starts[-1]) + int(row_words[deg[-1] - deg_min]))
+            size = min(2 * size, per_block)
+            continue
+        # a block cut short is followed by a smaller one, so rows drawn
+        # word by word close together waste little replay
+        size = max(_BLOCK_MIN_ROWS, 2 * keep)
+        ahead.take(int(starts[keep]))
+        row = ahead.drawn(partial(_scalar_row, n_cols=n_cols,
+                                  deg_min=deg_min, span=span,
+                                  tail_above=tail_above), 2 * most)
+        lengths.append(np.array([len(row)]))
+        flats.append(np.array(row, np.int32))
+        made += 1
+    return np.concatenate(lengths), np.concatenate(flats)
 
 
 def gen_random_instance(m_rows: int, n_cols: int, deg_min: int, deg_max: int,
@@ -454,6 +680,12 @@ def gen_random_instance(m_rows: int, n_cols: int, deg_min: int, deg_max: int,
     degree is a `lemire_draw` of bound deg_max - deg_min + 1 (none when
     that is 1), and the columns are `_floyd_sample`'s, or `_tail_sample`'s
     when n_cols > 10000 and deg > n_cols // 50, as in numpy.
+
+    Below `_BLOCK_FROM_ROWS` rows every row is drawn word by word
+    (`_scalar_row`) and the instance keeps the row tuples. From there the
+    rows are replayed in numpy blocks (`_block_rows`), straight into the
+    literal arrays, and a row with a rejected draw is drawn word by word;
+    the instance makes its row tuples when they are first read.
     """
     _check_cols(n_cols)
     if m_rows < 1 or n_cols < 1:
@@ -462,22 +694,21 @@ def gen_random_instance(m_rows: int, n_cols: int, deg_min: int, deg_max: int,
         raise ValueError(f"need 1 <= deg_min <= deg_max <= n_cols, "
                          f"got {deg_min}..{deg_max} over {n_cols}")
     next_word = _stream_words(seeded_rng(seed).bit_generator)
-    span = deg_max - deg_min + 1
     tail_above = (n_cols // _TAIL_SHARE if n_cols > _FLOYD_MAX_POP
                   else n_cols)
-    rows = []
-    for _ in range(m_rows):
-        deg = deg_min + lemire_draw(next_word, span) if span > 1 else deg_min
-        sample = (_tail_sample if deg > tail_above else _floyd_sample)(
-            next_word, n_cols, deg)
-        rows.append(tuple(sorted(sample)))
+    fields = dict(name=f"m{m_rows}_{n_cols}_{deg_min}_{deg_max}",
+                  n_cols=n_cols, m_rows=m_rows, col_weights=(1.0,) * n_cols,
+                  weight_kind=UNIT)
+    if m_rows >= _BLOCK_FROM_ROWS:
+        return BigraphInstance._trusted(**fields, _literals=_keep_literals(
+            *_block_rows(_Lookahead(next_word.chunks), m_rows, n_cols,
+                         deg_min, deg_max, tail_above)))
+    span = deg_max - deg_min + 1
     # each row is distinct, in range and of ints as drawn
-    rows = tuple(rows)
-    return BigraphInstance._trusted(
-        name=f"m{m_rows}_{n_cols}_{deg_min}_{deg_max}",
-        n_cols=n_cols, m_rows=m_rows, rows=rows,
-        col_weights=(1.0,) * n_cols, weight_kind=UNIT,
-        _literals=_literals_of(rows))
+    rows = tuple(_scalar_row(next_word, n_cols, deg_min, span, tail_above)
+                 for _ in range(m_rows))
+    return BigraphInstance._trusted(**fields, rows=rows,
+                                    _literals=_literals_of(rows))
 
 
 def permute_columns(instance: BigraphInstance,

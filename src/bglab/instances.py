@@ -40,11 +40,15 @@ class UnateRequiredError(ValueError):
 class BigraphInstance:
     """Immutable m-row, n-column incidence structure with column weights.
 
-    ``rows`` holds one clause per row as a tuple of signed column indices in
-    ``[-n_cols..-1] + [1..n_cols]``. All types are immutable after
-    construction and safe for concurrent read access. ``_literals`` holds
-    the same literals as read-only int32 arrays (row lengths, every signed
-    literal in row order), made with the instance (`_literals_of`).
+    ``_literals`` holds the literals as read-only int32 arrays (row
+    lengths, every signed literal in row order), made with the instance
+    (`_literals_of`). ``rows`` holds the same clauses, one per row, as
+    tuples of signed column indices in ``[-n_cols..-1] + [1..n_cols]``: the
+    public constructor takes them, and an instance made without them (a
+    reader's) makes them from ``_literals`` the first time they are read
+    (`_rows_of`). Equality, hashing, repr and copies do not depend on
+    whether they were read. All types are immutable after construction and
+    safe for concurrent read access.
     """
 
     name: str = field(compare=False)
@@ -96,25 +100,30 @@ class BigraphInstance:
 
     @classmethod
     def _trusted(cls, *, name: str, n_cols: int, m_rows: int,
-                 rows: tuple[tuple[int, ...], ...],
                  col_weights: tuple[float, ...],
                  weight_kind: str,
-                 _literals: tuple[np.ndarray, np.ndarray]
+                 _literals: tuple[np.ndarray, np.ndarray],
+                 rows: tuple[tuple[int, ...], ...] | None = None
                  ) -> "BigraphInstance":
         """Instance from fields the caller has already checked.
 
         Skips `__post_init__`: every invariant it enforces must hold, with
-        `rows` a tuple of tuples of int, `col_weights` a tuple of float and
-        `_literals` equal to `_literals_of(rows)`. The readers build through
-        it after checking each literal once, and so do relabellings of an
+        `col_weights` a tuple of float, `_literals` as `_keep_literals`
+        makes them and `rows`, when given, a tuple of tuples of int with
+        `_literals_of(rows)` equal to `_literals`; without it the rows are
+        made from `_literals` when first read. The readers build through it
+        after checking each literal once, and so do relabellings of an
         instance that is already valid; a rewrap
-        `_trusted(**{**vars(inst), ...})` that keeps `rows` passes the
-        instance's own arrays on.
+        `_trusted(**{**vars(inst), ...})` passes the instance's own arrays
+        on, and its rows if they were read.
         """
         inst = object.__new__(cls)
-        vars(inst).update(name=name, n_cols=n_cols, m_rows=m_rows, rows=rows,
-                          col_weights=col_weights, weight_kind=weight_kind,
-                          _literals=_literals)
+        fields = vars(inst)
+        fields.update(name=name, n_cols=n_cols, m_rows=m_rows)
+        if rows is not None:
+            fields["rows"] = rows
+        fields.update(col_weights=col_weights, weight_kind=weight_kind,
+                      _literals=_literals)
         return inst
 
     def __setstate__(self, state: dict) -> None:
@@ -135,6 +144,26 @@ class BigraphInstance:
         """Number of rows each column appears in (binate literals count)."""
         _, flat = self._literals
         return np.bincount(np.abs(flat) - 1, minlength=self.n_cols).tolist()
+
+
+class _RowsOfLiterals:
+    """`rows` of an instance made without them: `_rows_of` its
+    `_literals`, made on the first read and kept in the instance, where
+    later reads find them first.
+
+    A class attribute, not a `__getattr__`, which would slow every
+    attribute read of every instance about threefold."""
+
+    def __get__(self, inst, owner=None):
+        if inst is None:
+            return self
+        rows = _rows_of(*inst._literals)
+        vars(inst)["rows"] = rows
+        return rows
+
+
+# set once the dataclass is made, which would take it for a default
+BigraphInstance.rows = _RowsOfLiterals()
 
 
 def _check_cols(n_cols: int) -> None:
@@ -265,7 +294,7 @@ _SPACE[[*range(0x9, 0xE), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680,
 
 # Clause lines are converted and checked this many at a time, and the
 # text is split into lines about this many characters at a time, so no
-# list of lines, tokens or ints but the clauses themselves spans the file.
+# list of lines, tokens or ints spans the file.
 _BLOCK_LINES = 4096
 _PIECE_CHARS = 1 << 16
 
@@ -412,32 +441,30 @@ def parse_cnf(text: str, name: str = "instance") -> BigraphInstance:
             raise ParseError(line_no, "clause before problem line")
         raise ParseError(max(line_no, 1), "missing problem line")
 
-    clauses: list[tuple[int, ...]] = []
     arrays: list[tuple[np.ndarray, np.ndarray]] = []
+    made = 0
     if first is not None:
         rest = chain([first], lines)
         while block := list(islice(rest, _BLOCK_LINES)):
-            _read_clauses(block, line_no, n_cols, m_rows, clauses, arrays)
+            arrays.append(_read_clauses(block, line_no, n_cols, m_rows, made))
+            made += arrays[-1][0].size
             line_no += len(block)
         line_no -= 1
-    if len(clauses) != m_rows:
-        raise ParseError(line_no,
-                         f"expected {m_rows} clauses, found {len(clauses)}")
+    if made != m_rows:
+        raise ParseError(line_no, f"expected {m_rows} clauses, found {made}")
     kind = WEIGHTED if weights else UNIT
     col_weights = tuple(weights.get(c, 1.0) for c in range(1, n_cols + 1))
     lengths, flat = map(np.concatenate, zip(*arrays))
     return BigraphInstance._trusted(name=name, n_cols=n_cols, m_rows=m_rows,
-                                    rows=tuple(clauses),
                                     col_weights=col_weights, weight_kind=kind,
                                     _literals=_keep_literals(lengths, flat))
 
 
 def _read_clauses(block: list[str], first_no: int, n_cols: int, m_rows: int,
-                  clauses: list[tuple[int, ...]],
-                  arrays: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """Check the lines of `block`, numbered from `first_no`, and append
-    their clauses to `clauses` and their (row lengths, literals) as int32
-    arrays to `arrays`; raise `ParseError` at the first faulty one.
+                  made: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check the lines of `block`, numbered from `first_no`, that follow
+    `made` clauses, and return their clauses' (row lengths, literals) as
+    int32 arrays; raise `ParseError` at the first faulty one.
 
     Past the first clause a line is blank, a comment, or a clause; a
     problem or weight line there is a fault.
@@ -500,7 +527,7 @@ def _read_clauses(block: list[str], first_no: int, n_cols: int, m_rows: int,
     zero_inside = lines_with(zero)
     faulty = np.flatnonzero(unterminated | (lens == 1) | zero_inside
                             | lines_with(out | repeat))
-    room = m_rows - len(clauses)
+    room = m_rows - made
     first = int(faulty[0]) if faulty.size else lens.size
     if room < min(first, lens.size):
         raise ParseError(int(line_nos[room]), f"more than {m_rows} clauses")
@@ -526,9 +553,7 @@ def _read_clauses(block: list[str], first_no: int, n_cols: int, m_rows: int,
         raise ParseError(first_no + stop,
                          f"bad clause tokens: {block[stop].strip()!r}")
     del tokens, values, vals
-    sizes, lits = (lens - 1).astype(np.int32), lits.astype(np.int32)
-    arrays.append((sizes, lits))
-    clauses.extend(_rows_of(sizes, lits))
+    return (lens - 1).astype(np.int32), lits.astype(np.int32)
 
 
 def _fmt_weight(w: float) -> str:
@@ -655,7 +680,6 @@ def ingest_orlib(text: str, name: str = "orlib",
     lengths = np.diff(starts + [pos]) - 1
     col_weights = (1.0,) * n_cols if unit_weights else tuple(costs.tolist())
     return BigraphInstance._trusted(
-        name=name, n_cols=n_cols, m_rows=m_rows,
-        rows=_rows_of(lengths, flat), col_weights=col_weights,
+        name=name, n_cols=n_cols, m_rows=m_rows, col_weights=col_weights,
         weight_kind=UNIT if unit_weights else WEIGHTED,
         _literals=_keep_literals(lengths, flat))

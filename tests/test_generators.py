@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -430,6 +431,68 @@ def test_floyd_sample_rejects_on_real_streams():
         # steps and d - 1 shuffle draws
         rejected += len(taken) - 2 * (1 + 4 + 9)
     assert rejected > 10
+
+
+@pytest.mark.parametrize("shape", [
+    (2**14, 2**13, 1, 3),          # the benchmark's random matching shape
+    (5000, 40, 3, 9),              # many rows with a repeated draw
+    (2000, 20000, 1, 400),         # Floyd's path over more than 10000
+    (1500, 30, 30, 30),            # deg == n_cols on every row
+    (1200, 12, 1, 12),             # deg == n_cols on some rows
+    (3000, 10001, 150, 250),       # Floyd's path and the tail path mixed
+])
+def test_gen_random_blocks_replay_numpy_draws(shape):
+    assert shape[0] >= generators._BLOCK_FROM_ROWS
+    inst = gen_random_instance(*shape, 5)
+    assert "rows" not in vars(inst)  # made when first read
+    assert inst == _assert_numpy_rows(shape, 5)
+
+
+def test_gen_random_blocks_replay_rejections_on_a_real_stream(monkeypatch):
+    # bounds near 3 * 2^18 reject about one word in 16000: a few of the
+    # Floyd draws of 2^15 rows are drawn again
+    fallbacks = []
+    scalar_row = generators._scalar_row
+
+    def counted(*args, **kwargs):
+        fallbacks.append(args)
+        return scalar_row(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "_scalar_row", counted)
+    _assert_numpy_rows((2**15, 3 * 2**18, 1, 3), 1)
+    assert len(fallbacks) >= 1
+
+
+def _crafted_stream(words):
+    """A `_stream_words` result that hands out `words`, one by one or as
+    one array."""
+    next_word = partial(next, iter(words))
+    next_word.chunks = iter([np.array(words, np.uint32)])
+    return next_word
+
+
+def test_gen_random_blocks_draw_rejected_rows_word_by_word(monkeypatch):
+    # bound 3 rejects 0; a row of degree 1 over 4 columns from [1, 2^31] is
+    # (3,). The first crafted row rejects a Floyd and a shuffle word
+    # (test_gen_random_rejects_low_words), the second its degree word.
+    plain = [1, 2**31]
+    words = (plain * 10 + [0, 2**32 - 1, 2**31, 0, 2**31, 0, 0, 5, 5]
+             + plain * 20 + [0, 1, 3 << 30] + plain * 32 + [99] + [7] * 4096)
+    monkeypatch.setattr(generators, "_stream_words",
+                        lambda bit_generator: _crafted_stream(words))
+    lookaheads = []
+
+    class Recorded(generators._Lookahead):
+        def __init__(self, chunks):
+            super().__init__(chunks)
+            lookaheads.append(self)
+
+    monkeypatch.setattr(generators, "_Lookahead", Recorded)
+    inst = gen_random_instance(64, 4, 1, 3, 0)
+    assert inst.rows == ((3,),) * 10 + ((1, 2, 3),) + ((3,),) * 20 \
+        + ((4,),) + ((3,),) * 32
+    [ahead] = lookaheads
+    assert ahead.window(1).tolist() == [99]
 
 
 def test_permute_columns_roundtrip(rs):

@@ -849,6 +849,65 @@ def test_parse_cnf_matches_reference_at_paper_scale(text):
     assert _one_int_per_literal(new)
 
 
+def _wide_orlib_text() -> str:
+    """An OR-library text over 600 columns, most of them past the ints
+    CPython caches (up to 256)."""
+    rng = np.random.default_rng(5)
+    rows = [rng.choice(600, rng.integers(1, 9), replace=False) + 1
+            for _ in range(2000)]
+    return "\n".join(["2000 600", " ".join(["1"] * 600)]
+                     + [f"{len(row)} " + " ".join(map(str, row))
+                        for row in rows])
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda: parse_cnf(_steiner_text(6)), id="AG(6,3)"),
+    pytest.param(lambda: ingest_orlib(_wide_orlib_text()), id="orlib-600")])
+def test_rows_share_one_int_per_literal_across_the_instance(read):
+    # AG(6,3) has 88452 rows over 729 columns
+    inst = read()
+    assert "rows" not in vars(inst)
+    assert _one_int_per_literal(inst)
+
+
+@pytest.mark.parametrize("read", [
+    lambda: parse_cnf(CHVATAL_TEXT, name="chvatal"),
+    lambda: parse_cnf(BINATE_TEXT),
+    lambda: parse_cnf(write_cnf(gen_random_instance(300, 40, 1, 6, 2))),
+    lambda: ingest_orlib(ORLIB_2X2),
+    lambda: ingest_orlib(_wide_orlib_text(), unit_weights=True),
+    lambda: gen_random_instance(300, 40, 1, 6, 2)],
+    ids=["cnfW", "binate", "cnfU", "orlib", "orlib-unit", "random"])
+def test_rows_made_on_first_read_leave_every_result_alone(read):
+    read_first = read()
+    rows = read_first.rows
+    assert vars(read_first)["rows"] is rows
+    assert read_first.rows is rows  # made once
+    results = [
+        ("==", lambda inst: (inst == read_first, read_first == inst)),
+        ("hash", hash),
+        ("repr", repr),
+        ("pickle", lambda inst: pickle.loads(pickle.dumps(inst))),
+        ("deepcopy", copy.deepcopy),
+        ("copy", copy.copy),
+        ("replace", replace),
+        ("rewrap", lambda inst: BigraphInstance._trusted(**vars(inst))),
+    ]
+    for what, result in results:
+        unread = read()
+        assert "rows" not in vars(unread)
+        got, want = result(unread), result(read_first)
+        assert got == want, what
+        assert type(got) is type(want), what
+        if isinstance(got, BigraphInstance):
+            assert got.name == want.name
+            _assert_literals_match_rows(got)
+    assert read() == BigraphInstance(read_first.name, read_first.n_cols,
+                                     read_first.m_rows, rows,
+                                     read_first.col_weights,
+                                     read_first.weight_kind)
+
+
 @HYPOTHESIS
 @given(st.data(), valid_instances(binate=False), st.booleans())
 def test_ingest_orlib_matches_reference(data, inst, unit):
