@@ -10,6 +10,7 @@ fixed seeds. Exit status is 0 on success and 2 on any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -333,12 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="instance statistics")
     _add_instance_args(p)
     _add_common(p)
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("match", help="maximum bipartite matching")
     _add_instance_args(p)
     _add_common(p)
-    p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("cover", help="one greedy cover run")
     _add_instance_args(p)
@@ -347,12 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replica", type=int, default=0)
     p.add_argument("--tie-tol", type=float, default=0.0)
     _add_common(p)
-    p.set_defaults(func=cmd_cover)
 
-    for name, help_text, func, count_flag, count_default in (
-            ("dist", "seeded cover distribution", cmd_dist, "--seeds", 1000),
-            ("converge", "histograms at growing seed counts", cmd_converge,
-             "--counts", "100,1000,10000")):
+    for name, help_text, count_flag, count_default in (
+            ("dist", "seeded cover distribution", "--seeds", 1000),
+            ("converge", "histograms at growing seed counts", "--counts",
+             "100,1000,10000")):
         p = sub.add_parser(name, help=help_text)
         _add_instance_args(p)
         p.add_argument("--solver", choices=experiments.SOLVERS,
@@ -365,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--meta-seed", type=int, default=0)
         p.add_argument("--tie-tol", type=float, default=0.0)
         _add_common(p)
-        p.set_defaults(func=func)
 
     p = sub.add_parser("ub", help="greedy upper bound from bkv and mCD")
     p.add_argument("path", nargs="?", default=None)
@@ -375,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bkv", type=float, default=None)
     p.add_argument("--mcd", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_ub)
 
     p = sub.add_parser("gen", help="generate an instance")
     p.add_argument("kind", choices=("random", "builtin"))
@@ -385,27 +381,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("deg_max", type=int, nargs="?", default=None)
     p.add_argument("--name", default=None, help="builtin instance name")
     _add_common(p, with_seed=True)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("iso", help="emit a column-permuted isomorph")
     _add_instance_args(p)
     p.add_argument("--replica", type=int, default=1)
     _add_common(p)
-    p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("urn", help="urn-model unique-fraction trials")
     p.add_argument("--sizes", default="2^10..2^20")
     p.add_argument("--trials", type=int, default=None,
                    help="trials per urn (default: urn size)")
     _add_common(p, with_seed=True)
-    p.set_defaults(func=cmd_urn)
 
     p = sub.add_parser("movielib", help="emit synthetic movie/watch tables")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--movies", default="movies.csv")
     p.add_argument("--watches", default="watches.csv")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_movielib)
 
     p = sub.add_parser("topk", help="most frequently watched movies")
     p.add_argument("--size", type=int, default=None)
@@ -414,14 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--strategy", choices=("hash", "sorted"), default="hash")
     _add_common(p, with_seed=True)
-    p.set_defaults(func=cmd_topk)
 
     p = sub.add_parser("hist", help="watch-frequency histogram")
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--movies", default=None)
     p.add_argument("--watches", default=None)
     _add_common(p, with_seed=True)
-    p.set_defaults(func=cmd_hist)
 
     p = sub.add_parser("bench", help="phase-split asymptotic timing sweep")
     p.add_argument("--task", choices=("topk", "urn", "match"), default="topk")
@@ -430,16 +420,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("hash", "sorted"), default="hash")
     p.add_argument("--reps", type=int, default=1)
     _add_common(p, with_seed=True)
-    p.set_defaults(func=cmd_bench, format="csv")
+    p.set_defaults(format="csv")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: parsing leaves it
+    as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at each call, so that a command function replaced in
+        # this module after the parser was built is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"bglab {args.command}: {exc}\n")
         return 2

@@ -13,7 +13,7 @@ import io
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, compress
 from operator import length_hint
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -820,12 +820,14 @@ class _Table(Sequence):
     Indexing and iteration yield `RECORD`s with Python ints, so code
     written for a list of records reads a table unchanged; the bulk paths
     (generate, write, read, count) work on the columns. Fields and columns
-    share their names and order.
+    share their names and order. A table `read_movielib` made holds its
+    integer columns and makes each string column on its first read
+    (`_BlockColumn`).
     """
 
     RECORD: type
     HEADER: tuple[str, ...]
-    INTEGERS: frozenset[str]
+    INTEGERS: tuple[str, ...]
 
     @classmethod
     def of(cls, rows):
@@ -851,7 +853,8 @@ class _Table(Sequence):
                 for col in self._columns()]
 
     def __len__(self) -> int:
-        return len(self._columns()[0])
+        # an integer column, which a read table holds from the start
+        return len(getattr(self, self.INTEGERS[0]))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -883,7 +886,7 @@ class MovieTable(_Table):
 
     RECORD = MovieRecord
     HEADER = MOVIE_HEADER
-    INTEGERS = frozenset({"year", "runtime_minutes"})
+    INTEGERS = ("year", "runtime_minutes")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -895,7 +898,49 @@ class WatchTable(_Table):
 
     RECORD = WatchRecord
     HEADER = WATCH_HEADER
-    INTEGERS = frozenset({"minutes_watched"})
+    INTEGERS = ("minutes_watched",)
+
+
+class _BlockColumn:
+    """A string column of a table that `_read_table` made. Its first read
+    makes it from the table's `_text`: the UTF-8 text of the file's plain
+    blocks, and the fields the csv reader read after them. The column is
+    kept in the table, where later reads find it first; the text stays
+    for the columns not yet read.
+
+    A class attribute, as `instances._RowsOfLiterals` is. When `shared`,
+    equal fields of the column are one str object."""
+
+    def __init__(self, name: str, shared: bool = False):
+        self.name, self.shared = name, shared
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            return self
+        blocks, tails = table._text
+        fields = table.RECORD._fields
+        i, width = fields.index(self.name), len(fields)
+        if self.shared:
+            # the dict hands back the first str of each value it kept; a
+            # block at a time, so that only one block's copies are alive
+            keep, column = {}.setdefault, []
+            for block in blocks:
+                part = _block_fields((block,), i, width)
+                column += map(keep, part, part)
+            column += map(keep, tails[i], tails[i])
+        else:
+            column = _block_fields(blocks, i, width) + tails[i]
+        vars(table)[self.name] = column
+        return column
+
+
+# set once the dataclasses are made, which would take them for defaults
+MovieTable.movie_id = _BlockColumn("movie_id")
+MovieTable.title = _BlockColumn("title")
+WatchTable.watch_id = _BlockColumn("watch_id")
+WatchTable.movie_id = _BlockColumn("movie_id")
+# 366 distinct dates in a generated table
+WatchTable.date = _BlockColumn("date", shared=True)
 
 
 def gen_movielib(size: int, seed: int) -> tuple[MovieTable, WatchTable]:
@@ -986,23 +1031,52 @@ def write_movielib(movies, watches, movies_path: str,
                          if text is None else text)
 
 
-def _plain_columns(block: str, integer: list[bool],
-                   limit: int) -> list | None:
-    """The columns of `block` (string lists, and int64 arrays where
-    `integer` says) when it is whole lines of plain fields, else None.
+def _block_fields(blocks: Iterable[bytes], i: int, width: int
+                  ) -> list[str]:
+    """Field `i` of every line of `blocks`, UTF-8 text of whole lines of
+    `width` plain fields. The bytes of the field, each with the separator
+    that ends it, are gathered from every block, decoded once and split
+    on that separator; UTF-8 byte offsets are exact, as "," and "\n" are
+    single bytes."""
+    parts = []
+    for block in blocks:
+        raw = np.frombuffer(block, np.uint8)
+        seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+        # field k of the block is raw[bounds[k]:bounds[k + 1]], its
+        # separator last
+        bounds = np.concatenate(([0], seps + 1))
+        starts, stops = bounds[i:-1:width], bounds[i + 1::width]
+        lengths = stops - starts
+        ends = np.cumsum(lengths)
+        parts.append(raw[np.arange(ends[-1])
+                         + np.repeat(starts - ends + lengths, lengths)])
+    if not parts:
+        return []
+    fields = str(np.concatenate(parts), "utf-8").split(
+        "\n" if i == width - 1 else ",")
+    fields.pop()  # the "" after the last separator
+    return fields
+
+
+def _plain_block(block: str, integer: list[bool], limit: int
+                 ) -> tuple[bytes, list[np.ndarray]] | None:
+    """The UTF-8 text of `block` and its integer columns (int64 arrays,
+    where `integer` says, in field order) when it is whole lines of plain
+    fields, else None.
 
     Then it ends with a newline, every line has one comma fewer than there
     are columns and is shorter than `limit`, it holds none of `"` `\r`
     `\0`, and its integer fields convert with `int()` into int64; fields
     of an optional "-" and ASCII digits are converted together from the
-    bytes (`instances._decimals`).
+    bytes (`instances._decimals`). Its string fields are left in the text.
     """
     if block[-1] != "\n" or any(c in block for c in _NOT_PLAIN):
         return None
     width = len(integer)
     # positions in UTF-8 bytes: "," and "\n" are single bytes, and a line
     # has at least as many bytes as csv counts characters
-    raw = np.frombuffer(block.encode(), np.uint8)
+    text = block.encode()
+    raw = np.frombuffer(text, np.uint8)
     seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     rows, extra = divmod(len(seps), width)
     newline = raw[seps] == ord("\n")
@@ -1013,16 +1087,15 @@ def _plain_columns(block: str, integer: list[bool],
     starts = np.concatenate(([0], seps[:-1] + 1)).reshape(rows, width)
     if (stops[:, -1] - starts[:, 0]).max() >= limit:
         return None
-    fields = block.replace("\n", ",").split(",")  # the last one is ""
-    columns = [fields[i:-1:width] for i in range(width)]
+    columns = []
     try:
         for i in np.flatnonzero(integer):
             values = _decimals(raw, starts[:, i], stops[:, i])
-            columns[i] = (_int_column(columns[i], "") if values is None
-                          else values)
+            columns.append(_int_column(_block_fields((text,), i, width), "")
+                           if values is None else values)
     except ValueError:
         return None
-    return columns
+    return text, columns
 
 
 def _read_table(path: str, cls: type[_Table]) -> _Table:
@@ -1032,12 +1105,16 @@ def _read_table(path: str, cls: type[_Table]) -> _Table:
     rejects; integer fields accept what `int()` accepts.
 
     After a plain header line, blocks of about `_READ_BLOCK_CHARS`
-    characters, finished at a line end, are read by `_plain_columns`. From
+    characters, finished at a line end, are read by `_plain_block`. From
     the first block (or header) that is not plain, `csv.reader` reads the
-    rest, its line numbers counted on from the lines before.
+    rest, its line numbers counted on from the lines before. Every check
+    and integer conversion is made here; the table keeps the plain
+    blocks' text and the csv reader's string fields, and makes each string
+    column from them on its first read.
     """
     limit = csv.field_size_limit()
     integer = [name in cls.INTEGERS for name in cls.RECORD._fields]
+    texts: list[bytes] = []  # of the plain blocks
     columns: list[list] = [[] for _ in integer]  # int64 arrays a block
     done = 0  # lines read before the csv reader's first
     try:
@@ -1048,16 +1125,17 @@ def _read_table(path: str, cls: type[_Table]) -> _Table:
                 while block := fh.read(_READ_BLOCK_CHARS):
                     if block[-1] != "\n":
                         block += fh.readline()
-                    plain = _plain_columns(block, integer, limit)
+                    plain = _plain_block(block, integer, limit)
                     if plain is None:
                         break
-                    for col, values, is_int in zip(columns, plain, integer):
-                        col += [values] if is_int else values
-                    done += len(plain[0])
+                    text, values = plain
+                    texts.append(text)
+                    for col, array in zip(compress(columns, integer),
+                                          values):
+                        col.append(array)
+                    done += len(values[0])  # rows, in an integer column
             reader = csv.reader(chain(io.StringIO(block, newline=""), fh))
-            # the csv reader's strings go straight into the block columns
-            tail = [[] if is_int else col
-                    for col, is_int in zip(columns, integer)]
+            tail = [[] for _ in integer]  # the csv reader's fields
             # both tables have four fields
             add0, add1, add2, add3 = (col.append for col in tail)
             try:
@@ -1082,10 +1160,16 @@ def _read_table(path: str, cls: type[_Table]) -> _Table:
                                  f"{exc}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return cls(*(np.concatenate(col + [_int_column(rest, f"{path}: {title}")])
-                 if is_int else col
-                 for col, rest, is_int, title in zip(columns, tail, integer,
-                                                     cls.HEADER)))
+    table = cls.__new__(cls)
+    state = vars(table)
+    for name, col, rest, is_int, title in zip(cls.RECORD._fields, columns,
+                                              tail, integer, cls.HEADER):
+        if is_int:
+            state[name] = np.concatenate(
+                col + [_int_column(rest, f"{path}: {title}")])
+            rest.clear()  # `_text` keeps only the string fields
+    state["_text"] = tuple(texts), tuple(tail)
+    return table
 
 
 def read_movielib(movies_path: str, watches_path: str

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import bglab.cli as cli
 import bglab.experiments as experiments
 from bglab.cli import FORMATS, _load_instance, _parse_sizes, main
 from bglab.cover import harmonic
@@ -657,6 +658,33 @@ def test_ignored_option_exits_2(tmp_path, chvatal_path, argv, option):
     assert option in proc.stderr
     assert "Traceback" not in proc.stderr
     assert list(workdir.iterdir()) == []
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, tiny_path):
+    built = []
+    real_build_parser, real_stats = cli.build_parser, cli.cmd_stats
+
+    def counting_build_parser():
+        built.append(1)
+        return real_build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        # the command function the module holds at the call runs, whether
+        # it was replaced before the parser was built (as a tracing
+        # wrapper may be) or put back after
+        monkeypatch.setattr(cli, "cmd_stats", lambda args: 7)
+        assert main(["stats", tiny_path]) == 7
+        monkeypatch.setattr(cli, "cmd_stats", real_stats)
+        first = run(capsys, "stats", tiny_path, "--format", "json")
+        assert first[0] == 0 and '"mRows": 1' in first[1]
+        assert run(capsys, "stats", tiny_path, "--format", "json") == first
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert real_build_parser() is not real_build_parser()
+
 
 # Golden outputs: (exit code, sha256 of stdout) of each command that
 # `_golden_commands` lists, so any change to a byte of CLI output shows up.

@@ -1,7 +1,9 @@
+import copy
 import csv
 import hashlib
 import io
 import math
+import pickle
 from dataclasses import replace
 from functools import partial
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import bglab.generators as generators
 import bglab.instances as instances
+from bglab.bench import watch_counts
 from bglab.cover import _SMALL_COLS, brute_force_cover, greedy_basic
 from bglab.generators import (MovieTable, ReplicaStreams, WatchRecord,
                               WatchTable, bounded_draws, gen_isomorph,
@@ -1071,6 +1074,90 @@ def test_read_movielib_reads_field_size_limit_at_call_time(tmp_path, limit):
         csv.field_size_limit(old)
     assert (want == (movies, watches)) == (limit >= 14)
     assert (header_only == (movies[:0], watches[:0])) == (limit >= 14)
+
+
+_STRINGS = {MovieTable: ("movie_id", "title"),
+            WatchTable: ("watch_id", "movie_id", "date")}
+
+
+def _strings_made(table) -> set:
+    return set(_STRINGS[type(table)]) & vars(table).keys()
+
+
+# A field csv.writer quotes, put into one row so that csv.reader takes the
+# file over from that row's block on.
+_QUOTED = st.sampled_from(['a,b', 'say "é"', "two\nlines", "字,"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_PLAIN_FIELD, _PLAIN_FIELD, _INT64, _INT64),
+                min_size=1, max_size=25),
+       st.lists(st.tuples(_PLAIN_FIELD, _PLAIN_FIELD,
+                          st.sampled_from(["2020-01-01", "2020-12-31", "é"]),
+                          _INT64), min_size=1, max_size=25),
+       st.sampled_from([None, "first", "middle", "last"]), _QUOTED,
+       st.permutations(_STRINGS[MovieTable]),
+       st.permutations(_STRINGS[WatchTable]), st.data())
+def test_read_tables_make_their_string_columns_when_read(
+        tmp_path_factory, movie_rows, watch_rows, hand_off, quoted,
+        movie_order, watch_order, data):
+    for rows in (movie_rows, watch_rows):
+        if hand_off is not None:
+            at = {"first": 0, "middle": len(rows) // 2,
+                  "last": len(rows) - 1}[hand_off]
+            rows[at] = (rows[at][0], quoted) + rows[at][2:]
+    movies, watches = MovieTable.of(movie_rows), WatchTable.of(watch_rows)
+    d = tmp_path_factory.mktemp("lazy")
+    mp, wp = d / "movies.csv", d / "watches.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        _small_blocks(patch)
+        write_movielib(movies, watches, str(mp), str(wp))
+        tables = read_movielib(str(mp), str(wp))
+    for table, want, order in zip(tables, (movies, watches),
+                                  (movie_order, watch_order)):
+        assert len(table) == len(want) and repr(table) == repr(want)
+        assert not _strings_made(table)
+        # a copy taken before any string column is made makes them too
+        for copied in (pickle.loads(pickle.dumps(table)),
+                       copy.deepcopy(table)):
+            assert not _strings_made(copied)
+            assert copied == want
+        made = set()
+        for name in order:
+            column = getattr(table, name)
+            made.add(name)
+            assert _strings_made(table) == made
+            assert type(column) is list and column == getattr(want, name)
+            assert getattr(table, name) is column
+            if name == "date":
+                assert len({id(day) for day in column}) == len(set(column))
+            copied = copy.deepcopy(table)
+            assert _strings_made(copied) == made and copied == want
+        assert table == want
+        assert list(table) == list(want)
+        start = data.draw(st.integers(-len(want), len(want)))
+        stop = data.draw(st.integers(-len(want), len(want)))
+        assert table[start:stop] == want[start:stop]
+        assert list(table[start:stop]) == list(want)[start:stop]
+        assert pickle.loads(pickle.dumps(table)) == want
+
+
+def test_counting_a_read_table_makes_only_its_movie_ids(tmp_path):
+    movies, watches = gen_movielib(3000, seed=6)
+    mp, wp = tmp_path / "movies.csv", tmp_path / "watches.csv"
+    write_movielib(movies, watches, str(mp), str(wp))
+    got_movies, got_watches = read_movielib(str(mp), str(wp))
+    assert len(got_watches) == 3000 and "3000 rows" in repr(got_watches)
+    assert len(got_movies) == 3000 and "3000 rows" in repr(got_movies)
+    assert not _strings_made(got_movies) and not _strings_made(got_watches)
+    assert watch_counts(got_watches) == watch_counts(watches)
+    assert _strings_made(got_watches) == {"movie_id"}
+    assert not _strings_made(got_movies)
+    # the integer columns are read in full
+    assert np.array_equal(got_watches.minutes_watched,
+                          watches.minutes_watched)
+    assert got_watches.date == watches.date
+    assert len({id(d) for d in got_watches.date}) == len(set(watches.date))
 
 
 def test_decimals_equal_int():
