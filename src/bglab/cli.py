@@ -3,8 +3,10 @@
 Subcommands: stats, match, cover, dist, converge, ub, gen, iso, urn,
 movielib, topk, hist, bench. Every command but gen, iso and movielib hands
 its records to `_output`, which writes plain table text, CSV or JSON to
-stdout or --out. Deterministic commands produce byte-identical output for
-fixed seeds. Exit status is 0 on success and 2 on any error.
+stdout or --out; gen and iso write a clause file to stdout or --out and
+take no --format, and movielib writes its two CSV files. Deterministic
+commands produce byte-identical output for fixed seeds. Exit status is 0
+on success and 2 on any error.
 """
 
 from __future__ import annotations
@@ -266,7 +268,11 @@ def cmd_movielib(args) -> int:
 
 
 def _records_for(args):
-    if args.movies and args.watches:
+    if args.movies or args.watches:
+        if not (args.movies and args.watches):
+            raise ValueError("--movies and --watches are read together")
+        if args.size is not None:
+            raise ValueError("--size is not read with --movies and --watches")
         return generators.read_movielib(args.movies, args.watches)
     if args.size is None:
         raise ValueError("need --size or both --movies and --watches")
@@ -380,12 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("deg_min", type=int, nargs="?", default=None)
     p.add_argument("deg_max", type=int, nargs="?", default=None)
     p.add_argument("--name", default=None, help="builtin instance name")
-    _add_common(p, with_seed=True)
+    p.add_argument("--out", default=None, help="write output to a file")
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("iso", help="emit a column-permuted isomorph")
     _add_instance_args(p)
     p.add_argument("--replica", type=int, default=1)
-    _add_common(p)
+    p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("urn", help="urn-model unique-fraction trials")
     p.add_argument("--sizes", default="2^10..2^20")

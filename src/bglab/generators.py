@@ -403,9 +403,7 @@ _RAW_CHUNK = 1024
 # numpy's `choice(n, deg, replace=False)` takes a tail shuffle in place of
 # Floyd's sample when n > _FLOYD_MAX_POP and deg > n // _TAIL_SHARE
 _FLOYD_MAX_POP, _TAIL_SHARE = 10000, 50
-# Instances of this many rows or more draw them in numpy blocks
-# (`_block_rows`); a block looks at about `_BLOCK_WORDS` words.
-_BLOCK_FROM_ROWS = 64
+# a block of `_block_rows` looks at about `_BLOCK_WORDS` words
 _BLOCK_WORDS, _BLOCK_MIN_ROWS = 1 << 16, 16
 
 
@@ -418,19 +416,8 @@ def _stream_chunks(bit_generator) -> Iterator[np.ndarray]:
             "<u8", copy=False).view("<u4")
 
 
-def _stream_words(bit_generator) -> Callable[[], int]:
-    """The words of `_stream_chunks(bit_generator)`, one per call.
-
-    The result is a partial of `next`, which costs a call about what the
-    iterator's own `__next__` costs and can carry an attribute: `chunks`,
-    the chunk iterator itself, for a reader that takes the words as
-    arrays. A stream is read one way or the other, not both.
-    """
-    chunks = _stream_chunks(bit_generator)
-    next_word = partial(next, chain.from_iterable(
-        map(np.ndarray.tolist, chunks)))
-    next_word.chunks = chunks
-    return next_word
+class _ShortWindow(Exception):
+    """A draw of `_Lookahead.drawn` read past the words it was given."""
 
 
 class _Lookahead:
@@ -460,12 +447,21 @@ class _Lookahead:
               count: int):
         """`draw(next_word)` on the words from here, which then count as
         taken. `next_word` reads a list of the next `count` words; a draw
-        that reads past them is run again on twice as many."""
+        that reads past them is run again on twice as many. Past them
+        `next_word` raises `_ShortWindow`: a StopIteration would end a
+        `zip` or `map` the draw reads through early, or fail a generator.
+        """
         while True:
             words = iter(self.window(count).tolist())
+
+            def next_word() -> int:
+                for word in words:
+                    return word
+                raise _ShortWindow
+
             try:
-                value = draw(words.__next__)
-            except StopIteration:
+                value = draw(next_word)
+            except _ShortWindow:
                 count *= 2
                 continue
             self._at += count - length_hint(words)
@@ -484,10 +480,9 @@ def _floyd_sample(next_word: Callable[[], int], n: int, deg: int
     word is read only as far as Lemire's method needs to keep or reject
     it.
     """
-    picked: set[int] = set()
-    for j in range(n - deg + 1, n + 1):
-        col = lemire_draw(next_word, j) + 1 if j > 1 else 1
-        picked.add(j if col in picked else col)
+    draws = (lemire_draw(next_word, j) + 1 if j > 1 else 1
+             for j in range(n - deg + 1, n + 1))
+    picked = _floyd_cols(n, deg, draws)
     for k in range(deg, 1, -1):
         m = next_word() * k
         if m & _MASK32 < k:
@@ -498,8 +493,7 @@ def _floyd_sample(next_word: Callable[[], int], n: int, deg: int
 def _floyd_cols(n: int, deg: int, draws: Iterable[int]) -> set[int]:
     """`_floyd_sample`'s columns from its draws, made already: for j from
     n - deg + 1 to n, the next draw (a column in 1 .. j), or j itself when
-    that column is already taken. (`_floyd_sample` keeps its own loop: a
-    generator of draws would slow the word-by-word rows.)"""
+    that column is already taken."""
     picked: set[int] = set()
     for j, col in zip(range(n - deg + 1, n + 1), draws):
         picked.add(j if col in picked else col)
@@ -531,8 +525,9 @@ def _tail_cols(n: int, deg: int, draws: Iterable[int]) -> list[int]:
 
 def _scalar_row(next_word: Callable[[], int], n_cols: int, deg_min: int,
                 span: int, tail_above: int) -> tuple[int, ...]:
-    """One row of `gen_random_instance`, drawn word by word: a degree of
-    bound `span` (none when that is 1), then its columns, ascending."""
+    """One row of `gen_random_instance` drawn word by word, as `_block_rows`
+    draws a row with a rejected draw: a degree of bound `span` (none when
+    that is 1), then its columns, ascending."""
     deg = deg_min + lemire_draw(next_word, span) if span > 1 else deg_min
     sample = (_tail_sample if deg > tail_above else _floyd_sample)(
         next_word, n_cols, deg)
@@ -681,11 +676,10 @@ def gen_random_instance(m_rows: int, n_cols: int, deg_min: int, deg_max: int,
     that is 1), and the columns are `_floyd_sample`'s, or `_tail_sample`'s
     when n_cols > 10000 and deg > n_cols // 50, as in numpy.
 
-    Below `_BLOCK_FROM_ROWS` rows every row is drawn word by word
-    (`_scalar_row`) and the instance keeps the row tuples. From there the
-    rows are replayed in numpy blocks (`_block_rows`), straight into the
-    literal arrays, and a row with a rejected draw is drawn word by word;
-    the instance makes its row tuples when they are first read.
+    The rows are replayed in numpy blocks (`_block_rows`), straight into
+    the literal arrays, and a row with a rejected draw is drawn word by
+    word (`_scalar_row`); the instance makes its row tuples when they are
+    first read.
     """
     _check_cols(n_cols)
     if m_rows < 1 or n_cols < 1:
@@ -693,22 +687,16 @@ def gen_random_instance(m_rows: int, n_cols: int, deg_min: int, deg_max: int,
     if not 1 <= deg_min <= deg_max <= n_cols:
         raise ValueError(f"need 1 <= deg_min <= deg_max <= n_cols, "
                          f"got {deg_min}..{deg_max} over {n_cols}")
-    next_word = _stream_words(seeded_rng(seed).bit_generator)
     tail_above = (n_cols // _TAIL_SHARE if n_cols > _FLOYD_MAX_POP
                   else n_cols)
-    fields = dict(name=f"m{m_rows}_{n_cols}_{deg_min}_{deg_max}",
-                  n_cols=n_cols, m_rows=m_rows, col_weights=(1.0,) * n_cols,
-                  weight_kind=UNIT)
-    if m_rows >= _BLOCK_FROM_ROWS:
-        return BigraphInstance._trusted(**fields, _literals=_keep_literals(
-            *_block_rows(_Lookahead(next_word.chunks), m_rows, n_cols,
-                         deg_min, deg_max, tail_above)))
-    span = deg_max - deg_min + 1
     # each row is distinct, in range and of ints as drawn
-    rows = tuple(_scalar_row(next_word, n_cols, deg_min, span, tail_above)
-                 for _ in range(m_rows))
-    return BigraphInstance._trusted(**fields, rows=rows,
-                                    _literals=_literals_of(rows))
+    literals = _keep_literals(*_block_rows(
+        _Lookahead(_stream_chunks(seeded_rng(seed).bit_generator)),
+        m_rows, n_cols, deg_min, deg_max, tail_above))
+    return BigraphInstance._trusted(
+        name=f"m{m_rows}_{n_cols}_{deg_min}_{deg_max}", n_cols=n_cols,
+        m_rows=m_rows, col_weights=(1.0,) * n_cols, weight_kind=UNIT,
+        _literals=literals)
 
 
 def permute_columns(instance: BigraphInstance,

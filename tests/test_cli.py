@@ -642,7 +642,15 @@ def test_bench_json_and_table(capsys):
     (("movielib", "--size", "8", "--format", "json"), "--format"),
     (("movielib", "--size", "8", "--out", "x.json"), "--out"),
     (("ub", "{chvatal}", "--mcd", "3"), "--mcd"),
-], ids=["movielib-format", "movielib-out", "ub-path-mcd"])
+    (("gen", "random", "6", "8", "1", "3", "--format", "json"), "--format"),
+    (("iso", "{chvatal}", "--format", "json"), "--format"),
+    (("topk", "--size", "50", "--movies", "/nonexistent.csv"), "--movies"),
+    (("hist", "--size", "50", "--watches", "w.csv"), "--watches"),
+    (("topk", "--size", "50", "--movies", "m.csv", "--watches", "w.csv"),
+     "--size"),
+], ids=["movielib-format", "movielib-out", "ub-path-mcd", "gen-format",
+        "iso-format", "topk-lone-movies", "hist-lone-watches",
+        "topk-files-size"])
 def test_ignored_option_exits_2(tmp_path, chvatal_path, argv, option):
     import bglab
 
@@ -704,7 +712,7 @@ GOLDEN = {
         0, "3f15bd61959c3592ae91cb919d926210765123b018ec536eb53622bbca7b9fa0"),
     "ub {chvatal} --bkv 2 --format table": (
         0, "7c93c78ca114b22018dfa4559e8ae5d3a4f3e6c3411d7373182705f4a75853c4"),
-    "iso {chvatal} --replica 3 --format table": (
+    "iso {chvatal} --replica 3": (
         0, "69ea4c2fcfcbfb51c470984e2aad9a9593ff74ad25f375c92bbb6989e04fc097"),
     ("dist {chvatal} --seeds 600 --solver stoc --seed-mode consecutive"
      " --format table"): (
@@ -744,7 +752,7 @@ GOLDEN = {
         0, "ba369b78a9699f9b2c3cd7131c8ed6565136b608115868b06d63410a919064da"),
     "ub {school} --bkv 2 --format table": (
         0, "bb2789594c0c8760a8c18da17cfaabcae7ace088caa65dbd76c5a5d1458d591f"),
-    "iso {school} --replica 3 --format table": (
+    "iso {school} --replica 3": (
         0, "a012db287ae816295c28b24fac2e8518a3269770f1fbd0e77ace114a5dc3b93f"),
     ("dist {school} --seeds 600 --solver stoc --seed-mode consecutive"
      " --format table"): (
@@ -784,7 +792,7 @@ GOLDEN = {
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "ub {two_optima} --bkv 2 --format table": (
         0, "5063603fcc2e2cd83d13e49f63f6e408dc83f07fcb5ad3bf232efe9c6077a4a0"),
-    "iso {two_optima} --replica 3 --format table": (
+    "iso {two_optima} --replica 3": (
         0, "916efa3c37b7cd90a96af4b76fe342439681efbe54f41a7aa1bd82135b57b24e"),
     ("dist {two_optima} --seeds 600 --solver stoc --seed-mode consecutive"
      " --format table"): (
@@ -824,7 +832,7 @@ GOLDEN = {
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "ub {rand} --bkv 2 --format table": (
         0, "fcb1750bcd690abe9c3e6ae6a26da60ac1906a257f300b192f6c6b43068b921b"),
-    "iso {rand} --replica 3 --format table": (
+    "iso {rand} --replica 3": (
         0, "b4f4717fc4dedded883d5e36ed07f7806690e835489ae9324970566461206919"),
     ("dist {rand} --seeds 200 --solver stoc --seed-mode consecutive --format"
      " table"): (
@@ -859,8 +867,10 @@ GOLDEN = {
         0, "fec80b9f6c138e583a84c0db757ad623b72d1b0185ecf0ae4a54a3256b1d219c"),
     "hist --size 300 --seed 4 --format table": (
         0, "d2148105f5026a1afb7a54748f7eee894e7bfedb40bc895a56c50302f1f75193"),
-    "gen random 100 100 10 30 --seed 7 --format table": (
+    "gen random 100 100 10 30 --seed 7": (
         0, "485ec7c5bac4f43f3fc93596b159a5c33b3bc2d3d9f93a53b6c4edb2e91247b6"),
+    "gen random 30 20 2 5 --seed 7": (
+        0, "da199a536a4ed6a8ef5c20fe0bbd4cd74c203ac41d4f511cdb6d91001d77b319"),
     "stats {chvatal} --format csv": (
         0, "a736d174b4756a6856622a3cea2ce566441b7d0f03e6a9517051af6a747da121"),
     "match {chvatal} --format csv": (
@@ -875,8 +885,6 @@ GOLDEN = {
         0, "a3d38fa5f80b5fc607113071ca7a027680c920cf4a3e81f60ba541ff8de4869b"),
     "ub {chvatal} --bkv 2 --format csv": (
         0, "2d7017172261291690de9890f5b0d86e8dc5d8193a397673dc41106879ef240b"),
-    "iso {chvatal} --replica 3 --format csv": (
-        0, "69ea4c2fcfcbfb51c470984e2aad9a9593ff74ad25f375c92bbb6989e04fc097"),
     ("dist {chvatal} --seeds 600 --solver stoc --seed-mode consecutive"
      " --format csv"): (
         0, "d8befaded2194ed3c6f9fa7b913b324608f6d755c4fc86c73624b4af686ba721"),
@@ -915,8 +923,6 @@ GOLDEN = {
         0, "e2baf6e4d860261c19ba119204d368a89c7591fa38533774b2a51b16e4d70eda"),
     "ub {school} --bkv 2 --format csv": (
         0, "7f303f942eaa68eb7593e0bbcfcf8417daccc723cafec04ffca2a500263bad8e"),
-    "iso {school} --replica 3 --format csv": (
-        0, "a012db287ae816295c28b24fac2e8518a3269770f1fbd0e77ace114a5dc3b93f"),
     ("dist {school} --seeds 600 --solver stoc --seed-mode consecutive"
      " --format csv"): (
         0, "0ef8515317f8c7cfad687694846a547dae068b5d0934c28b5d09cd4c58ba9a84"),
@@ -954,8 +960,6 @@ GOLDEN = {
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "ub {two_optima} --bkv 2 --format csv": (
         0, "8cd6c884a1c0e8630914931d169cfab7aa6fdf00704ef7567b01687bd37db934"),
-    "iso {two_optima} --replica 3 --format csv": (
-        0, "916efa3c37b7cd90a96af4b76fe342439681efbe54f41a7aa1bd82135b57b24e"),
     ("dist {two_optima} --seeds 600 --solver stoc --seed-mode consecutive"
      " --format csv"): (
         0, "df25c13cc506e165c366fa2f3568431d004398be3e8be5ca9be5c0f10a1d078b"),
@@ -994,8 +998,6 @@ GOLDEN = {
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "ub {rand} --bkv 2 --format csv": (
         0, "c5a9e9e8f035b6aa7085779a31650768502550b0f5601fcc91b868d07d0c2473"),
-    "iso {rand} --replica 3 --format csv": (
-        0, "b4f4717fc4dedded883d5e36ed07f7806690e835489ae9324970566461206919"),
     ("dist {rand} --seeds 200 --solver stoc --seed-mode consecutive --format"
      " csv"): (
         0, "1353656a4f964e343ed35d00c154387352d09a3980d1e6b2a0fde5f232acdad9"),
@@ -1028,8 +1030,6 @@ GOLDEN = {
         0, "02bf24ec7d85f1c09e71b31be4ed821d4bc24558b4e4cdc8ff3bed0ff1d8b317"),
     "hist --size 300 --seed 4 --format csv": (
         0, "0c8db93b5388f55feb1582517840aecdf850a4d083646103e305d235bae0be66"),
-    "gen random 100 100 10 30 --seed 7 --format csv": (
-        0, "485ec7c5bac4f43f3fc93596b159a5c33b3bc2d3d9f93a53b6c4edb2e91247b6"),
     "stats {chvatal} --format json": (
         0, "9399e1b70b85e8ec018afa846c2a3d4f3b29359cae2954df26d60a7eabc7fd79"),
     "match {chvatal} --format json": (
@@ -1044,8 +1044,6 @@ GOLDEN = {
         0, "457a32d690d2c330bd29ccd6e9ac0af007f77fa98a85fa9fa85eef0e897e07b3"),
     "ub {chvatal} --bkv 2 --format json": (
         0, "ac609c9942a6a53fa8d70c1043c0ffba30bca2d242003f0a9b8d0d293d60ddb8"),
-    "iso {chvatal} --replica 3 --format json": (
-        0, "69ea4c2fcfcbfb51c470984e2aad9a9593ff74ad25f375c92bbb6989e04fc097"),
     ("dist {chvatal} --seeds 600 --solver stoc --seed-mode consecutive"
      " --format json"): (
         0, "a929e1a468e3ce952c1753ff5e1037032b19cfb6a3f82207d75a3ca2228c83c3"),
@@ -1084,8 +1082,6 @@ GOLDEN = {
         0, "d5a5b2a83388dc687e91b1985224b2308e30f090e9cfa84118faab6542f66225"),
     "ub {school} --bkv 2 --format json": (
         0, "bf943a84ad05f7089711e81dd8e77a22b93fc65a163b28b2be3246b46c4c6ae8"),
-    "iso {school} --replica 3 --format json": (
-        0, "a012db287ae816295c28b24fac2e8518a3269770f1fbd0e77ace114a5dc3b93f"),
     ("dist {school} --seeds 600 --solver stoc --seed-mode consecutive"
      " --format json"): (
         0, "0f3731e9c8d89087fa0b7c0b9bbcfaf59dddf1e06f8d4bc0d5ac9cb0fc3252b1"),
@@ -1124,8 +1120,6 @@ GOLDEN = {
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "ub {two_optima} --bkv 2 --format json": (
         0, "774731d495c1835ff5c05b81329941323654e8fedba4949fe6c1f6eae9481345"),
-    "iso {two_optima} --replica 3 --format json": (
-        0, "916efa3c37b7cd90a96af4b76fe342439681efbe54f41a7aa1bd82135b57b24e"),
     ("dist {two_optima} --seeds 600 --solver stoc --seed-mode consecutive"
      " --format json"): (
         0, "4404533755b87938283a0cad3bbd1ec06f57dc332b98dfab4aabee6d7f4c601c"),
@@ -1164,8 +1158,6 @@ GOLDEN = {
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "ub {rand} --bkv 2 --format json": (
         0, "06e30f4363d380e79b11bf04943fd2b514391e0b80056513ada36f89c5e7c029"),
-    "iso {rand} --replica 3 --format json": (
-        0, "b4f4717fc4dedded883d5e36ed07f7806690e835489ae9324970566461206919"),
     ("dist {rand} --seeds 200 --solver stoc --seed-mode consecutive --format"
      " json"): (
         0, "fc5cc154be765fa5ae8e76ebb3ad69b6c06b1f3b0f61225e31493e587b4e00ba"),
@@ -1198,8 +1190,6 @@ GOLDEN = {
         0, "6d8f326e2cf30ebc7083fa7504b0ae0529bb8b5d04b7b78a871bdcdb2d2a3336"),
     "hist --size 300 --seed 4 --format json": (
         0, "7785a655776441187d84dbdc969aee352c544dceca041bf26a92ba624ecfa3d6"),
-    "gen random 100 100 10 30 --seed 7 --format json": (
-        0, "485ec7c5bac4f43f3fc93596b159a5c33b3bc2d3d9f93a53b6c4edb2e91247b6"),
 }
 
 
@@ -1207,7 +1197,10 @@ def _golden_commands() -> list[str]:
     # 600 seeds take iso runs past the keystream cut (`_ISO_BLOCK_SEEDS`)
     seed_counts = {"chvatal": 600, "school": 600, "two_optima": 600,
                    "rand": 200}
-    commands = []
+    # gen and iso write a clause file and take no --format
+    commands = ["iso {%s} --replica 3" % name for name in seed_counts]
+    commands += ["gen random 100 100 10 30 --seed 7",
+                 "gen random 30 20 2 5 --seed 7"]
     for fmt in FORMATS:
         tail = f" --format {fmt}"
         for name, seeds in seed_counts.items():
@@ -1216,8 +1209,7 @@ def _golden_commands() -> list[str]:
                          f"cover {path}{tail}",
                          f"cover {path} --solver stoc --replica 3{tail}",
                          f"cover {path} --solver iso --replica 3{tail}",
-                         f"ub {path}{tail}", f"ub {path} --bkv 2{tail}",
-                         f"iso {path} --replica 3{tail}"]
+                         f"ub {path}{tail}", f"ub {path} --bkv 2{tail}"]
             for solver in ("stoc", "iso"):
                 for mode in ("consecutive", "random"):
                     opts = f"--solver {solver} --seed-mode {mode}"
@@ -1228,8 +1220,7 @@ def _golden_commands() -> list[str]:
                      f"urn --sizes 2^4..2^10 --seed 2{tail}",
                      f"topk --size 300 --seed 4 --k 7{tail}",
                      f"topk --size 300 --seed 4 --strategy sorted{tail}",
-                     f"hist --size 300 --seed 4{tail}",
-                     f"gen random 100 100 10 30 --seed 7{tail}"]
+                     f"hist --size 300 --seed 4{tail}"]
     return commands
 
 

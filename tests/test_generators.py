@@ -6,6 +6,7 @@ import math
 import pickle
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -377,9 +378,10 @@ def test_gen_random_replays_numpy_tail_shuffle(shape, seed, tails):
        st.integers(0, 2**64 - 1))
 @example((40, 10001, 150, 250), 3)
 def test_gen_random_equals_public_constructor(shape, seed):
-    # the instance skips the constructor's checks; both samplers' rows
-    # pass them and come out as the constructor makes them
+    # the instance skips the constructor's checks; its rows, made when
+    # first read, pass them and come out as the constructor makes them
     inst = gen_random_instance(*shape, seed)
+    inst.rows  # made on this first read, so that vars(inst) holds them
     fields = {k: v for k, v in vars(inst).items() if k != "_literals"}
     public = BigraphInstance(**fields)
     assert vars(public).keys() == vars(inst).keys()
@@ -394,21 +396,56 @@ def test_gen_random_equals_public_constructor(shape, seed):
         np.testing.assert_array_equal(got, want)
 
 
+def _crafted_stream(monkeypatch, words):
+    """Make `gen_random_instance` read `words`, then 7s, as its stream;
+    the `_Lookahead`s it reads them through are appended to the list this
+    returns."""
+    padded = np.array(words + [7] * 4096, np.uint32)
+    monkeypatch.setattr(generators, "_stream_chunks",
+                        lambda bit_generator: iter([padded]))
+    lookaheads = []
+
+    class Recorded(generators._Lookahead):
+        def __init__(self, chunks):
+            super().__init__(chunks)
+            lookaheads.append(self)
+
+    monkeypatch.setattr(generators, "_Lookahead", Recorded)
+    return lookaheads
+
+
 def test_gen_random_rejects_low_words(monkeypatch):
     # 0 is rejected by bound 3 ((2^32 - 3) % 3 = 1); bounds 2 and 4 reject
     # nothing
-    words = iter([0, 2**32 - 1,          # degree 1 + 2 after a rejection
-                  2**31,                 # j = 2: column 2
-                  0, 2**31,              # j = 3: column 2, taken, so 3
-                  0,                     # j = 4: column 1
-                  0, 5, 5,               # the sample's shuffle, bounds 3, 2
-                  5,                     # row 2: degree 1
-                  3 << 30,               # j = 4: column 4
-                  99])
-    monkeypatch.setattr(generators, "_stream_words",
-                        lambda bit_generator: words.__next__)
+    lookaheads = _crafted_stream(monkeypatch, [
+        0, 2**32 - 1,          # degree 1 + 2 after a rejection
+        2**31,                 # j = 2: column 2
+        0, 2**31,              # j = 3: column 2, taken, so 3
+        0,                     # j = 4: column 1
+        0, 5, 5,               # the sample's shuffle, bounds 3, 2
+        5,                     # row 2: degree 1
+        3 << 30,               # j = 4: column 4
+        99])
     assert gen_random_instance(2, 4, 1, 3, 0).rows == ((1, 2, 3), (4,))
-    assert next(words) == 99
+    [ahead] = lookaheads
+    assert ahead.window(1).tolist() == [99]
+
+
+@pytest.mark.parametrize("tail_above", [4, 1], ids=["floyd", "tail"])
+def test_lookahead_draws_again_past_its_window(tail_above):
+    # bound 2^32 // 3 + 1 rejects 0, so a row of degree 2 over that many
+    # columns reads 0, 0, 0 before its first column: past the 2 words it
+    # is given first, inside the generator (Floyd's path) or the map and
+    # zip (the tail path) its columns are drawn through
+    n = 2**32 // 3 + 1
+    words = [0, 0, 0, 2**31, 2**30, 3 << 30, 99]
+    row = partial(generators._scalar_row, n_cols=n, deg_min=2, span=1,
+                  tail_above=tail_above)
+    ahead = generators._Lookahead(iter([np.array(words + [7] * 9,
+                                                  np.uint32)]))
+    read = iter(words)
+    assert ahead.drawn(row, 2) == row(read.__next__)
+    assert ahead.window(1).tolist() == [next(read)]
 
 
 def test_floyd_sample_rejects_on_real_streams():
@@ -417,7 +454,9 @@ def test_floyd_sample_rejects_on_real_streams():
     rejected = 0
     for seed in range(1, 6):
         rng = seeded_rng(seed)
-        words = generators._stream_words(seeded_rng(seed).bit_generator)
+        words = partial(next, chain.from_iterable(map(
+            np.ndarray.tolist,
+            generators._stream_chunks(seeded_rng(seed).bit_generator))))
         taken = []
 
         def next_word():
@@ -443,9 +482,11 @@ def test_floyd_sample_rejects_on_real_streams():
     (1500, 30, 30, 30),            # deg == n_cols on every row
     (1200, 12, 1, 12),             # deg == n_cols on some rows
     (3000, 10001, 150, 250),       # Floyd's path and the tail path mixed
+    (1, 1, 1, 1),                  # one row, one column
+    (6, 8, 1, 3),
+    (63, 100, 10, 15),
 ])
 def test_gen_random_blocks_replay_numpy_draws(shape):
-    assert shape[0] >= generators._BLOCK_FROM_ROWS
     inst = gen_random_instance(*shape, 5)
     assert "rows" not in vars(inst)  # made when first read
     assert inst == _assert_numpy_rows(shape, 5)
@@ -466,31 +507,15 @@ def test_gen_random_blocks_replay_rejections_on_a_real_stream(monkeypatch):
     assert len(fallbacks) >= 1
 
 
-def _crafted_stream(words):
-    """A `_stream_words` result that hands out `words`, one by one or as
-    one array."""
-    next_word = partial(next, iter(words))
-    next_word.chunks = iter([np.array(words, np.uint32)])
-    return next_word
-
-
 def test_gen_random_blocks_draw_rejected_rows_word_by_word(monkeypatch):
     # bound 3 rejects 0; a row of degree 1 over 4 columns from [1, 2^31] is
     # (3,). The first crafted row rejects a Floyd and a shuffle word
     # (test_gen_random_rejects_low_words), the second its degree word.
     plain = [1, 2**31]
-    words = (plain * 10 + [0, 2**32 - 1, 2**31, 0, 2**31, 0, 0, 5, 5]
-             + plain * 20 + [0, 1, 3 << 30] + plain * 32 + [99] + [7] * 4096)
-    monkeypatch.setattr(generators, "_stream_words",
-                        lambda bit_generator: _crafted_stream(words))
-    lookaheads = []
-
-    class Recorded(generators._Lookahead):
-        def __init__(self, chunks):
-            super().__init__(chunks)
-            lookaheads.append(self)
-
-    monkeypatch.setattr(generators, "_Lookahead", Recorded)
+    lookaheads = _crafted_stream(
+        monkeypatch,
+        plain * 10 + [0, 2**32 - 1, 2**31, 0, 2**31, 0, 0, 5, 5]
+        + plain * 20 + [0, 1, 3 << 30] + plain * 32 + [99])
     inst = gen_random_instance(64, 4, 1, 3, 0)
     assert inst.rows == ((3,),) * 10 + ((1, 2, 3),) + ((3,),) * 20 \
         + ((4,),) + ((3,),) * 32
