@@ -16,7 +16,6 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 from statistics import median
 from typing import Any, Callable
 
@@ -79,15 +78,110 @@ def watch_counts(watches, strategy: str = "hash") -> dict[str, int]:
 
     `watches` is a `WatchTable` or an iterable of `WatchRecord`s. Both
     strategies return identical counts; they exist so the asymptotic cost
-    of the aggregation structure itself can be compared.
+    of the aggregation structure itself can be compared. "hash" counts the
+    table's movie id strs in a `Counter`. "sorted" sorts the ids' UTF-8
+    bytes as whole arrays, with no str made per watch (`_sorted_counts`);
+    its dict iterates in ascending id order.
     """
-    movie_ids = WatchTable.of(watches).movie_id
+    table = WatchTable.of(watches)
     if strategy == "hash":
-        return dict(Counter(movie_ids))
+        return dict(Counter(table.movie_id))
     if strategy == "sorted":
-        return {movie_id: len(list(run))
-                for movie_id, run in groupby(sorted(movie_ids))}
+        return _sorted_counts(table._utf8("movie_id"))
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def _packed(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+            ) -> np.ndarray:
+    """Row k: the bytes raw[starts[k]:][:lengths[k]] packed big-endian into
+    uint64 words, zero-padded to the longest."""
+    shortest = int(lengths.min(initial=0))
+    longest = int(lengths.max(initial=0))
+    table = np.zeros((len(starts), -(-longest // 8) * 8), np.uint8)
+    last = raw.size - 1
+    for b in range(longest):
+        if b < shortest:
+            table[:, b] = raw[starts + b]
+        else:
+            byte = raw[np.minimum(starts + b, last)]
+            byte *= lengths > b
+            table[:, b] = byte
+    return table.view(">u8").astype(np.uint64)
+
+
+def _sorted_counts(parts) -> dict[str, int]:
+    """Run lengths of the sorted strs whose UTF-8 bytes `parts` hold, as
+    `generators._Table._utf8` gives them, keyed by str in ascending order.
+
+    UTF-8 byte order is code point order, as `sorted` orders strs. Each
+    str's bytes are packed into zero-padded uint64 words (Bentley and
+    Sedgewick compare strings a machine word at a time). When every str
+    fits one word and none holds a NUL, the word alone orders them;
+    otherwise the words are sorted together with the byte length last, so
+    that "a" comes before "a\\0". Only the distinct strs are decoded.
+    """
+    keys, lengths, counts = _runs(parts)
+    ids = _decoded(keys, lengths)
+    del keys, lengths  # before the dict is made beside the strs
+    return dict(zip(ids, counts.tolist()))
+
+
+def _runs(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The packed words (one row per 8 bytes) and byte lengths of the
+    distinct strs of `parts`, ascending, and the count of each. Each part
+    is packed as it comes, and the arrays of every str are released when
+    it returns."""
+    packed, lengths, nul = [], [np.zeros(0, np.int64)], False
+    for raw, starts, size in parts:
+        packed.append(_packed(raw, starts, size))
+        lengths.append(size)
+        nul = nul or not raw.all()
+    lengths = np.concatenate(lengths)
+    n = len(lengths)
+    keys = np.zeros((max((part.shape[1] for part in packed), default=0), n),
+                    np.uint64)
+    at = 0
+    for part in packed:
+        keys[:part.shape[1], at:at + len(part)] = part.T
+        at += len(part)
+    del packed
+    if len(keys) == 1 and not nul:
+        # with no NUL, a str is its word, and its length the count of the
+        # word's nonzero bytes
+        keys.sort()
+        lengths = np.count_nonzero(keys.view(np.uint8).reshape(n, 8), axis=1)
+    else:
+        order = np.lexsort((lengths, *keys[::-1]))
+        keys = keys[:, order]
+        lengths = lengths[order]
+    first = np.ones(n, bool)
+    np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=first[1:])
+    first[1:] |= lengths[1:] != lengths[:-1]
+    firsts = np.flatnonzero(first)
+    return keys[:, firsts], lengths[firsts], np.diff(firsts, append=n)
+
+
+def _decoded(keys: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """The strs whose UTF-8 bytes ("surrogatepass") column k of `keys`
+    holds packed as `_packed` packs them, `lengths[k]` bytes long."""
+    width = 8 * len(keys)
+    table = np.zeros((len(lengths), width + 1), np.uint8)
+    table[:, :width] = np.ascontiguousarray(keys.T, ">u8").view(np.uint8)
+    # each str's bytes and then a NUL, decoded at once
+    flat = table[np.arange(width + 1) <= lengths[:, None]]
+    del table  # before the strs are made
+    text = flat.tobytes().decode("utf-8", "surrogatepass")
+    ids = text.split("\0")
+    if len(ids) == len(lengths) + 1:
+        ids.pop()  # the "" after the last NUL
+        return ids
+    # a str holds a NUL: cut the text after the code points of each str
+    # and its NUL, a code point starting at each byte that is not a
+    # continuation byte
+    stops = np.cumsum((flat & 0xC0) != 0x80)[np.cumsum(lengths + 1) - 1]
+    starts = np.concatenate(([0], stops[:-1]))
+    return list(map(text.__getitem__,
+                    map(slice, starts.tolist(), (stops - 1).tolist())))
 
 
 def select_topk(counts: dict[str, int], k: int) -> TopKResult:
@@ -108,16 +202,19 @@ def topk_movies(movies, watches, k: int,
     """The k most-watched movies; never-watched movies are excluded.
 
     Both tables are tables or iterables of records, as `gen_movielib`
-    and `read_movielib` give them.
+    and `read_movielib` give them. The distinct ids of the counts are
+    checked against the movies; only when one is unknown are the watches
+    scanned, for the first watch that references it.
     """
     movies, watches = MovieTable.of(movies), WatchTable.of(watches)
+    counts = watch_counts(watches, strategy)
     known = set(movies.movie_id)
-    if not known.issuperset(watches.movie_id):
+    if not known.issuperset(counts):
         w = next(w for w, movie_id in enumerate(watches.movie_id)
                  if movie_id not in known)
         raise ValueError(f"watch {watches.watch_id[w]} references unknown "
                          f"movie {watches.movie_id[w]}")
-    return select_topk(watch_counts(watches, strategy), k)
+    return select_topk(counts, k)
 
 
 def watch_histogram(watches) -> dict[int, int]:

@@ -271,12 +271,14 @@ def _records_for(args):
     if args.movies or args.watches:
         if not (args.movies and args.watches):
             raise ValueError("--movies and --watches are read together")
-        if args.size is not None:
-            raise ValueError("--size is not read with --movies and --watches")
+        for option, value in (("--size", args.size), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"{option} is not read with --movies and "
+                                 "--watches")
         return generators.read_movielib(args.movies, args.watches)
     if args.size is None:
         raise ValueError("need --size or both --movies and --watches")
-    return generators.gen_movielib(args.size, args.seed)
+    return generators.gen_movielib(args.size, args.seed or 0)
 
 
 def cmd_topk(args) -> int:
@@ -412,13 +414,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--watches", default=None)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--strategy", choices=("hash", "sorted"), default="hash")
-    _add_common(p, with_seed=True)
+    # no default seed, so that one given with --movies and --watches is
+    # refused; generation takes none as 0
+    p.add_argument("--seed", type=int, default=None)
+    _add_common(p)
 
     p = sub.add_parser("hist", help="watch-frequency histogram")
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--movies", default=None)
     p.add_argument("--watches", default=None)
-    _add_common(p, with_seed=True)
+    p.add_argument("--seed", type=int, default=None)
+    _add_common(p)
 
     p = sub.add_parser("bench", help="phase-split asymptotic timing sweep")
     p.add_argument("--task", choices=("topk", "urn", "match"), default="topk")

@@ -801,6 +801,22 @@ def _int_column(values, where: str) -> np.ndarray:
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _encoded(strs: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of `strs` ("surrogatepass"), one after another, and
+    the offset and length in bytes of each."""
+    joined = "".join(strs)
+    raw = np.frombuffer(joined.encode("utf-8", "surrogatepass"), np.uint8)
+    lengths = np.fromiter(map(len, strs), np.int64, len(strs))
+    if raw.size != len(joined):
+        # bytes per code point, summed up to the end of each str
+        points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"),
+                               np.uint32)
+        units = 1 + (points >= 0x80) + (points >= 0x800) + (points >= 0x10000)
+        ends = np.concatenate(([0], np.cumsum(units)))[np.cumsum(lengths)]
+        lengths = np.diff(ends, prepend=0)
+    return raw, np.cumsum(lengths) - lengths, lengths
+
+
 class _Table(Sequence):
     """A read-only sequence of records held as one column per field:
     strings in lists, integers in int64 arrays.
@@ -839,6 +855,30 @@ class _Table(Sequence):
         """Every column as a list of Python objects."""
         return [col.tolist() if isinstance(col, np.ndarray) else col
                 for col in self._columns()]
+
+    def _utf8(self, name: str
+              ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The UTF-8 bytes of the string column `name`, in parts that
+        follow each other in row order: (bytes, starts, lengths), the
+        field of row k of the part being bytes[starts[k]:][:lengths[k]].
+
+        A read table gives its plain blocks' bytes as they are, with no
+        str made per field, and then the csv reader's fields; any other
+        table gives its column. Those strs are encoded with
+        "surrogatepass", so that a lone surrogate has bytes too."""
+        text = vars(self).get("_text")
+        if text is None:
+            yield _encoded(getattr(self, name))
+            return
+        blocks, tails = text
+        fields = self.RECORD._fields
+        i, width = fields.index(name), len(fields)
+        for block in blocks:
+            raw = np.frombuffer(block, np.uint8)
+            starts, stops = _field_bounds(raw, i, width)
+            yield raw, starts, stops - starts
+        if tails[i]:
+            yield _encoded(tails[i])
 
     def __len__(self) -> int:
         # an integer column, which a read table holds from the start
@@ -1019,22 +1059,27 @@ def write_movielib(movies, watches, movies_path: str,
                          if text is None else text)
 
 
+def _field_bounds(raw: np.ndarray, i: int, width: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Byte offsets (starts, stops) of field `i` of every line of `raw`,
+    the UTF-8 bytes of whole lines of `width` plain fields: the field is
+    raw[starts[k]:stops[k]], and raw[stops[k]] the separator that ends it.
+    UTF-8 byte offsets are exact, as "," and "\n" are single bytes."""
+    seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    return np.concatenate(([0], seps + 1))[i:-1:width], seps[i::width]
+
+
 def _block_fields(blocks: Iterable[bytes], i: int, width: int
                   ) -> list[str]:
     """Field `i` of every line of `blocks`, UTF-8 text of whole lines of
     `width` plain fields. The bytes of the field, each with the separator
     that ends it, are gathered from every block, decoded once and split
-    on that separator; UTF-8 byte offsets are exact, as "," and "\n" are
-    single bytes."""
+    on that separator."""
     parts = []
     for block in blocks:
         raw = np.frombuffer(block, np.uint8)
-        seps = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-        # field k of the block is raw[bounds[k]:bounds[k + 1]], its
-        # separator last
-        bounds = np.concatenate(([0], seps + 1))
-        starts, stops = bounds[i:-1:width], bounds[i + 1::width]
-        lengths = stops - starts
+        starts, stops = _field_bounds(raw, i, width)
+        lengths = stops + 1 - starts
         ends = np.cumsum(lengths)
         parts.append(raw[np.arange(ends[-1])
                          + np.repeat(starts - ends + lengths, lengths)])

@@ -344,17 +344,22 @@ def _decimals(points: np.ndarray, starts: np.ndarray, stops: np.ndarray
         return None
     minus = points[starts] == ord("-")
     lengths = stops - starts - minus
-    if lengths.min() < 1 or lengths.max() > 18:
+    shortest, longest = int(lengths.min()), int(lengths.max())
+    if shortest < 1 or longest > 18:
         return None
-    width = int(lengths.max())
-    place = np.arange(width)
-    # every token right-aligned in `width` units, the units before its
-    # digits zeroed
-    digits = points[np.maximum(stops[:, None] - width + place, 0)] - ord("0")
-    digits[place < width - lengths[:, None]] = 0
-    if digits.max() > 9:  # unsigned, so a unit below "0" wraps above 9
-        return None
-    values = digits.astype(np.int64) @ 10 ** place[::-1]
+    # Horner's rule over the tokens right-aligned: the unit `place` before
+    # each stop, most significant first, zeroed in tokens shorter than that
+    values = np.zeros(len(starts), np.int64)
+    for place in range(longest, 0, -1):
+        if place > shortest:
+            digits = points[np.maximum(stops - place, 0)] - ord("0")
+            digits *= lengths >= place
+        else:
+            digits = points[stops - place] - ord("0")
+        if digits.max() > 9:  # unsigned, so a unit below "0" wraps above 9
+            return None
+        values *= 10
+        values += digits
     return np.negative(values, out=values, where=minus)
 
 

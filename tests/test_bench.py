@@ -1,7 +1,9 @@
 import heapq
+import operator
 import random
 import sys
 import threading
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +13,10 @@ from bglab.bench import (PhaseTask, TopKResult, asymptotic_sweep, select_topk,
                          sweep_csv, time_phases, topk_movies, topk_task,
                          urn_task, matching_task, watch_counts,
                          watch_histogram)
-from bglab.generators import (MovieRecord, WatchRecord, gen_movielib,
-                              urn_trial)
+from bglab import generators
+from bglab.generators import (MovieRecord, WatchRecord, WatchTable,
+                              gen_movielib, read_movielib, urn_trial,
+                              write_movielib)
 
 
 def micro_dataset():
@@ -365,3 +369,64 @@ def test_topk_unknown_movie_in_a_table():
     movies, watches = gen_movielib(20, seed=4)
     with pytest.raises(ValueError, match=r"watch w\d+ references unknown"):
         topk_movies(movies[:1], watches, 3)
+
+
+# Movie ids of 0 to 20 UTF-8 bytes, so that the packed keys span one to
+# three words, sharing prefixes within and across words, with NULs and
+# characters of two to four bytes.
+_MOVIE_ID = st.one_of(
+    st.builds(operator.add,
+              st.sampled_from(["", "tt", "tt1", "tt1\0", "\0", "ttttttt",
+                               "tttttttt", "tttttttt1", "t" * 16]),
+              st.text(st.sampled_from("t01\0\x7f\xe9\u20ac\U0001d7d1"),
+                      max_size=4)),
+    st.text(max_size=5)).filter(lambda s: len(s.encode()) <= 20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_MOVIE_ID, max_size=40), st.none() | st.integers(0, 39))
+@example(["\ud800", "", "\udfff", "\ud800", "\U00010000", "\uffff", "\ud7ff"],
+         None)
+@example(["a\0", "a", "", "\0", "a", "a\0\0", "a\0"], None)
+@example(["tt2", "tt10", "tt1", "tt10", "tt2", "tt10"], None)
+@example(["tt2", "tt10", "tt1", "tt10", "tt2", "tt10"], 4)
+def test_sorted_counts_equal_groupby(tmp_path_factory, ids, quoted):
+    want = {k: len(list(g)) for k, g in groupby(sorted(ids))}
+    rows = [(f"w{i}", movie_id, "2020-01-01", 1)
+            for i, movie_id in enumerate(ids)]
+    tables = [WatchTable.of(rows)]
+    # a lone surrogate has no UTF-8 that a file could hold
+    if ids and not any("\ud800" <= c <= "\udfff" for c in "".join(ids)):
+        # a quoted date hands the file to the csv reader from its row's
+        # block on; with none, the blocks are plain unless an id is not
+        if quoted is not None:
+            quoted %= len(ids)
+            rows[quoted] = rows[quoted][:2] + ('a,"b"', 1)
+        plain = quoted is None and not any(c in movie_id for c in ',\n"\r\0'
+                                           for movie_id in ids)
+        d = tmp_path_factory.mktemp("ids")
+        mp, wp = str(d / "movies.csv"), str(d / "watches.csv")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generators, "_WRITE_BLOCK_ROWS", 3)
+            patch.setattr(generators, "_READ_BLOCK_CHARS", 40)
+            write_movielib([], rows, mp, wp)
+            _, read = read_movielib(mp, wp)
+        # the csv reader took over exactly when a field was not plain
+        _, tail = vars(read)["_text"]
+        assert (tail[1] == []) == plain
+        tables.append(read)
+    for table in tables:
+        got = watch_counts(table, "sorted")
+        assert list(got.items()) == list(want.items())
+        assert got == watch_counts(table, "hash")
+
+
+def test_sorted_count_of_a_read_table_makes_no_string_column(tmp_path):
+    movies, watches = gen_movielib(3000, seed=6)
+    mp, wp = str(tmp_path / "movies.csv"), str(tmp_path / "watches.csv")
+    write_movielib(movies, watches, mp, wp)
+    got_movies, got_watches = read_movielib(mp, wp)
+    top = topk_movies(got_movies, got_watches, 10, "sorted")
+    assert top == topk_movies(movies, watches, 10, "hash")
+    assert watch_counts(got_watches, "sorted") == watch_counts(watches)
+    assert not {"watch_id", "movie_id", "date"} & vars(got_watches).keys()

@@ -648,9 +648,13 @@ def test_bench_json_and_table(capsys):
     (("hist", "--size", "50", "--watches", "w.csv"), "--watches"),
     (("topk", "--size", "50", "--movies", "m.csv", "--watches", "w.csv"),
      "--size"),
+    (("topk", "--movies", "m.csv", "--watches", "w.csv", "--seed", "3"),
+     "--seed"),
+    (("hist", "--movies", "m.csv", "--watches", "w.csv", "--seed", "0"),
+     "--seed"),
 ], ids=["movielib-format", "movielib-out", "ub-path-mcd", "gen-format",
         "iso-format", "topk-lone-movies", "hist-lone-watches",
-        "topk-files-size"])
+        "topk-files-size", "topk-files-seed", "hist-files-seed"])
 def test_ignored_option_exits_2(tmp_path, chvatal_path, argv, option):
     import bglab
 

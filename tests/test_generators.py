@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import pickle
+import re
 from dataclasses import replace
 from functools import partial
 from itertools import chain
@@ -1202,3 +1203,44 @@ def test_decimals_equal_int():
         stops = np.array([1, 3 + len(bad.encode())])
         starts = np.array([0, 3])
         assert instances._decimals(raw, starts, stops) is None
+
+
+# tokens `_decimals` reads (an optional "-" and 1 to 18 ASCII digits), and
+# ones it refuses: too long, other signs, spaces, non-ASCII digits
+_DECIMAL_TOKEN = st.one_of(
+    st.integers(-10**19, 10**19).map(str),
+    st.text(st.sampled_from("0123456789-+ _\u0663\uff13/:"), max_size=20))
+
+
+class _NoIndexBelowZero(np.ndarray):
+    """An array that refuses an integer index below 0, which numpy would
+    read from its end."""
+
+    def __getitem__(self, index):
+        if isinstance(index, np.ndarray) and index.dtype.kind == "i":
+            assert index.min(initial=0) >= 0
+        return super().__getitem__(index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_DECIMAL_TOKEN, min_size=1, max_size=30),
+       st.sampled_from(["", "z,", "12345678901234567,"]),
+       st.sampled_from([(np.uint8, "utf-8"), (np.uint32, "utf-32-le")]))
+@example(["7", "123456789012345678"], "", (np.uint8, "utf-8"))
+@example(["-7", "-123456789012345678"], "", (np.uint32, "utf-32-le"))
+def test_decimals_equal_int_or_none(tokens, lead, unit):
+    # the first token starts at offset 0 unless `lead` puts one before it;
+    # a short token there is right-aligned against a longer one's width
+    dtype, encoding = unit
+    text = lead + ",".join(tokens) + ","
+    points = np.frombuffer(text.encode(encoding), dtype)
+    seps = np.flatnonzero(points == ord(","))
+    points = points.view(_NoIndexBelowZero)
+    skip = lead.count(",")
+    starts = np.concatenate(([0], seps[:-1] + 1))[skip:]
+    got = instances._decimals(points, starts, seps[skip:])
+    if all(re.fullmatch("-?[0-9]{1,18}", t) for t in tokens):
+        assert type(got) is np.ndarray and got.dtype == np.int64
+        assert got.tolist() == list(map(int, tokens))
+    else:
+        assert got is None
