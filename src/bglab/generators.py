@@ -12,7 +12,7 @@ import datetime
 import io
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, compress
 from operator import length_hint
 from types import SimpleNamespace
@@ -21,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .instances import (UNIT, BigraphInstance, UnateRequiredError,
-                        _check_cols, _decimals, _keep_literals,
-                        _literals_of)
+                        _check_cols, _decimals, _keep_literals, _row_order)
 
 # A column permutation is a 1-based tuple: output column idx carries input
 # column perm[idx - 1].
@@ -704,24 +703,25 @@ def permute_columns(instance: BigraphInstance,
     """Column-relabelled copy: output column idx carries input column perm[idx].
 
     Weights travel with their columns; signs of binate literals are kept.
+    The literals are relabelled by one gather through a signed table over
+    -n..n, then sorted within their rows by column (`_row_order`).
     """
     n = instance.n_cols
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm is not a permutation of 1..{n}")
-    inverse = [0] * (n + 1)
-    for idx, col in enumerate(perm, start=1):
-        inverse[col] = idx
-    rows = tuple(
-        tuple(sorted(((1 if lit > 0 else -1) * inverse[abs(lit)]
-                      for lit in clause), key=abs))
-        for clause in instance.rows)
+    # the new label of literal l at relabel[l], a negative l from the end
+    relabel = np.zeros(2 * n + 1, np.int32)
+    relabel[list(perm)] = np.arange(1, n + 1, dtype=np.int32)
+    relabel[n + 1:] = -relabel[n:0:-1]
+    lengths, flat = instance._literals
+    flat = relabel[flat]
+    order, _ = _row_order(np.abs(flat),
+                          np.arange(lengths.size).repeat(lengths))
     weights = tuple(instance.col_weights[col - 1] for col in perm)
     # a bijective relabelling keeps every invariant of a valid instance
-    return BigraphInstance._trusted(name=instance.name, n_cols=n,
-                                    m_rows=instance.m_rows, rows=rows,
-                                    col_weights=weights,
-                                    weight_kind=instance.weight_kind,
-                                    _literals=_literals_of(rows))
+    return BigraphInstance._trusted(**{
+        **vars(instance), "col_weights": weights,
+        "_literals": _keep_literals(lengths, flat[order])})
 
 
 def isomorph_permutation(n_cols: int, replica_id: int,
@@ -826,12 +826,13 @@ class _Table(Sequence):
     (generate, write, read, count) work on the columns. Fields and columns
     share their names and order. A table `read_movielib` made holds its
     integer columns and makes each string column on its first read
-    (`_BlockColumn`).
+    (`_block_column`).
     """
 
     RECORD: type
     HEADER: tuple[str, ...]
     INTEGERS: tuple[str, ...]
+    SHARED: tuple[str, ...] = ()
 
     @classmethod
     def of(cls, rows):
@@ -927,48 +928,36 @@ class WatchTable(_Table):
     RECORD = WatchRecord
     HEADER = WATCH_HEADER
     INTEGERS = ("minutes_watched",)
+    SHARED = ("date",)  # 366 distinct dates in a generated table
 
 
-class _BlockColumn:
-    """A string column of a table that `_read_table` made. Its first read
-    makes it from the table's `_text`: the UTF-8 text of the file's plain
-    blocks, and the fields the csv reader read after them. The column is
-    kept in the table, where later reads find it first; the text stays
-    for the columns not yet read.
-
-    A class attribute, as `instances._RowsOfLiterals` is. When `shared`,
-    equal fields of the column are one str object."""
-
-    def __init__(self, name: str, shared: bool = False):
-        self.name, self.shared = name, shared
-
-    def __get__(self, table, owner=None):
-        if table is None:
-            return self
-        blocks, tails = table._text
-        fields = table.RECORD._fields
-        i, width = fields.index(self.name), len(fields)
-        if self.shared:
-            # the dict hands back the first str of each value it kept; a
-            # block at a time, so that only one block's copies are alive
-            keep, column = {}.setdefault, []
-            for block in blocks:
-                part = _block_fields((block,), i, width)
-                column += map(keep, part, part)
-            column += map(keep, tails[i], tails[i])
-        else:
-            column = _block_fields(blocks, i, width) + tails[i]
-        vars(table)[self.name] = column
-        return column
+def _block_column(table: _Table, name: str) -> list:
+    """The string column `name` of a table that `_read_table` made, from
+    its `_text`: the UTF-8 text of the file's plain blocks, and the fields
+    the csv reader read after them. It is made on the first read and kept
+    in the table; the text stays for the columns not yet read. In a column
+    of `SHARED`, equal fields are one str object."""
+    blocks, tails = table._text
+    fields = table.RECORD._fields
+    i, width = fields.index(name), len(fields)
+    if name not in table.SHARED:
+        return _block_fields(blocks, i, width) + tails[i]
+    # the dict hands back the first str of each value it kept; a block at a
+    # time, so that only one block's copies are alive
+    keep, column = {}.setdefault, []
+    for block in blocks:
+        part = _block_fields((block,), i, width)
+        column += map(keep, part, part)
+    column += map(keep, tails[i], tails[i])
+    return column
 
 
 # set once the dataclasses are made, which would take them for defaults
-MovieTable.movie_id = _BlockColumn("movie_id")
-MovieTable.title = _BlockColumn("title")
-WatchTable.watch_id = _BlockColumn("watch_id")
-WatchTable.movie_id = _BlockColumn("movie_id")
-# 366 distinct dates in a generated table
-WatchTable.date = _BlockColumn("date", shared=True)
+for _cls, _name in ((MovieTable, "movie_id"), (MovieTable, "title"),
+                    (WatchTable, "watch_id"), (WatchTable, "movie_id"),
+                    (WatchTable, "date")):
+    setattr(_cls, _name, cached_property(partial(_block_column, name=_name)))
+    getattr(_cls, _name).__set_name__(_cls, _name)
 
 
 def gen_movielib(size: int, seed: int) -> tuple[MovieTable, WatchTable]:

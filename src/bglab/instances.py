@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from collections.abc import Iterator
 from itertools import chain, islice
 
@@ -36,29 +37,30 @@ class UnateRequiredError(ValueError):
     """The requested operation is defined for unate instances only."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BigraphInstance:
     """Immutable m-row, n-column incidence structure with column weights.
 
     ``_literals`` holds the literals as read-only int32 arrays (row
-    lengths, every signed literal in row order), made with the instance
-    (`_literals_of`). ``rows`` holds the same clauses, one per row, as
-    tuples of signed column indices in ``[-n_cols..-1] + [1..n_cols]``: the
-    public constructor takes them, and an instance made without them (a
-    reader's) makes them from ``_literals`` the first time they are read
-    (`_rows_of`). Equality, hashing, repr and copies do not depend on
-    whether they were read. All types are immutable after construction and
-    safe for concurrent read access.
+    lengths, every signed literal in row order), made with the instance;
+    they are the instance. ``rows`` is a view of them, one tuple per row of
+    signed column indices in ``[-n_cols..-1] + [1..n_cols]``: the public
+    constructor takes and checks them, and an instance made without them
+    (a reader's, a relabelling's) makes them from ``_literals`` the first
+    time they are read (`_rows_of`). Equality and hashing compare the
+    shape, the weights and the arrays, and repr leaves the rows out, so
+    none of them depends on whether the rows were read, and neither does
+    a copy. All types are immutable after construction and safe for
+    concurrent read access.
     """
 
-    name: str = field(compare=False)
+    name: str
     n_cols: int
     m_rows: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...] = field(repr=False)
     col_weights: tuple[float, ...]
     weight_kind: str
-    _literals: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
-                                                     compare=False)
+    _literals: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_cols(self.n_cols)
@@ -96,35 +98,47 @@ class BigraphInstance:
                     f"column {c}: nonpositive or non-finite weight {w}")
         if self.weight_kind == UNIT and any(w != 1.0 for w in self.col_weights):
             raise ValueError("unit instance with non-unit weights")
-        object.__setattr__(self, "_literals", _literals_of(self.rows))
+        lengths = np.fromiter(map(len, rows), np.int32, len(rows))
+        flat = np.fromiter(chain.from_iterable(rows), np.int32,
+                           int(lengths.sum()))
+        object.__setattr__(self, "_literals", _keep_literals(lengths, flat))
 
     @classmethod
     def _trusted(cls, *, name: str, n_cols: int, m_rows: int,
-                 col_weights: tuple[float, ...],
-                 weight_kind: str,
-                 _literals: tuple[np.ndarray, np.ndarray],
-                 rows: tuple[tuple[int, ...], ...] | None = None
+                 col_weights: tuple[float, ...], weight_kind: str,
+                 _literals: tuple[np.ndarray, np.ndarray], **views
                  ) -> "BigraphInstance":
         """Instance from fields the caller has already checked.
 
         Skips `__post_init__`: every invariant it enforces must hold, with
-        `col_weights` a tuple of float, `_literals` as `_keep_literals`
-        makes them and `rows`, when given, a tuple of tuples of int with
-        `_literals_of(rows)` equal to `_literals`; without it the rows are
-        made from `_literals` when first read. The readers build through it
-        after checking each literal once, and so do relabellings of an
-        instance that is already valid; a rewrap
+        `col_weights` a tuple of float and `_literals` as `_keep_literals`
+        makes them; the rows are made from `_literals` when first read.
+        The readers build through it after checking each literal once, and
+        so do relabellings of an instance that is already valid. A rewrap
         `_trusted(**{**vars(inst), ...})` passes the instance's own arrays
-        on, and its rows if they were read.
+        on; `views` takes the rows `vars(inst)` holds once they were read,
+        and drops them.
         """
         inst = object.__new__(cls)
-        fields = vars(inst)
-        fields.update(name=name, n_cols=n_cols, m_rows=m_rows)
-        if rows is not None:
-            fields["rows"] = rows
-        fields.update(col_weights=col_weights, weight_kind=weight_kind,
-                      _literals=_literals)
+        vars(inst).update(name=name, n_cols=n_cols, m_rows=m_rows,
+                          col_weights=col_weights, weight_kind=weight_kind,
+                          _literals=_literals)
         return inst
+
+    def _identity(self) -> tuple:
+        """What `==` and `hash` compare: all but the name and the rows,
+        whose arrays' bytes stand for them."""
+        lengths, flat = self._literals
+        return (self.n_cols, self.m_rows, self.col_weights, self.weight_kind,
+                lengths.tobytes(), flat.tobytes())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
     def __setstate__(self, state: dict) -> None:
         # numpy restores unpickled and deep-copied arrays writeable
@@ -146,24 +160,9 @@ class BigraphInstance:
         return np.bincount(np.abs(flat) - 1, minlength=self.n_cols).tolist()
 
 
-class _RowsOfLiterals:
-    """`rows` of an instance made without them: `_rows_of` its
-    `_literals`, made on the first read and kept in the instance, where
-    later reads find them first.
-
-    A class attribute, not a `__getattr__`, which would slow every
-    attribute read of every instance about threefold."""
-
-    def __get__(self, inst, owner=None):
-        if inst is None:
-            return self
-        rows = _rows_of(*inst._literals)
-        vars(inst)["rows"] = rows
-        return rows
-
-
 # set once the dataclass is made, which would take it for a default
-BigraphInstance.rows = _RowsOfLiterals()
+BigraphInstance.rows = cached_property(lambda inst: _rows_of(*inst._literals))
+BigraphInstance.rows.__set_name__(BigraphInstance, "rows")
 
 
 def _check_cols(n_cols: int) -> None:
@@ -184,30 +183,28 @@ def _keep_literals(lengths: np.ndarray, flat: np.ndarray
     return kept
 
 
-def _literals_of(rows: tuple[tuple[int, ...], ...]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """`_keep_literals` of the lengths and literals of `rows`."""
-    lengths = np.fromiter(map(len, rows), np.int32, len(rows))
-    return _keep_literals(lengths, np.fromiter(
-        chain.from_iterable(rows), np.int32, int(lengths.sum())))
+def _per_literal(flat: np.ndarray, make) -> np.ndarray:
+    """`make(v)` of each literal v of `flat`, as an object array that holds
+    one object per distinct literal, shared by its occurrences.
+
+    The objects are made over the range of the literals (0 included) when
+    it is no wider than their count, else over the distinct literals.
+    """
+    lo, hi = int(flat.min(initial=0)), int(flat.max(initial=0))
+    if hi - lo < flat.size:
+        values, index = range(lo, hi + 1), flat - lo
+    else:
+        distinct, index = np.unique(flat, return_inverse=True)
+        values = distinct.tolist()
+    return np.array(list(map(make, values)), dtype=object)[index.reshape(-1)]
 
 
 def _rows_of(lengths: np.ndarray, flat: np.ndarray
              ) -> tuple[tuple[int, ...], ...]:
-    """The row tuples of the literals `flat` cut at `lengths`, with one int
-    object per distinct literal, so that the rows share them.
-
-    The ints come from one object array over the range of the literals (0
-    included) when it is no wider than their count, else from the sorted
-    distinct literals; rows of one length are cut by `zip`.
-    """
-    lo, hi = int(flat.min(initial=0)), int(flat.max(initial=0))
-    if hi - lo < flat.size:
-        ints, index = np.array(range(lo, hi + 1), dtype=object), flat - lo
-    else:
-        distinct, index = np.unique(flat, return_inverse=True)
-        ints = np.array(distinct.tolist(), dtype=object)
-    shared = ints[index.reshape(-1)].tolist()
+    """The row tuples of the literals `flat` cut at `lengths`, sharing one
+    int object per distinct literal (`_per_literal`); rows of one length
+    are cut by `zip`."""
+    shared = _per_literal(flat, int).tolist()
     if lengths.size and (lengths == lengths[0]).all():
         return tuple(zip(*[iter(shared)] * int(lengths[0])))
     ends = np.cumsum(lengths).tolist()
@@ -363,19 +360,26 @@ def _decimals(points: np.ndarray, starts: np.ndarray, stops: np.ndarray
     return np.negative(values, out=values, where=minus)
 
 
-def _repeats(cols: np.ndarray, row_of: np.ndarray, skip: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the literals `cols`, of ascending 0-based rows `row_of`,
-    whose column appeared earlier in their row, and the stable order that
-    sorts them by row, then column. A literal in `skip` is not counted."""
-    mags = np.where(skip, 0, np.abs(cols))
+def _row_order(mags: np.ndarray, row_of: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order that sorts literals of ascending rows `row_of` by
+    row, then by their nonnegative `mags`, and the keys it sorts: equal
+    keys are equal mags in one row."""
     span = int(mags.max(initial=0)) + 1
     if row_of.size and (int(row_of[-1]) + 1) * span > 2**63:
         # columns too wide for an int64 key: rank them first
         mags = np.unique(mags, return_inverse=True)[1].reshape(-1)
         span = int(mags.max()) + 1
     keys = row_of * span + mags
-    order = np.argsort(keys, kind="stable")
+    return keys.argsort(kind="stable"), keys
+
+
+def _repeats(cols: np.ndarray, row_of: np.ndarray, skip: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the literals `cols`, of ascending 0-based rows `row_of`,
+    whose column appeared earlier in their row, and the stable order that
+    sorts them by row, then column. A literal in `skip` is not counted."""
+    order, keys = _row_order(np.where(skip, 0, np.abs(cols)), row_of)
     ranked = keys[order]
     repeat = np.zeros(cols.size, dtype=bool)
     repeat[order[1:][ranked[1:] == ranked[:-1]]] = True
@@ -571,16 +575,21 @@ def write_cnf(instance: BigraphInstance, comments: tuple[str, ...] = ()) -> str:
     """Canonical clause-format text; reparses to an equal instance.
 
     Clauses keep their given order, literals are sorted ascending by column.
+    The clause lines are one join of a str per distinct literal
+    (`_per_literal`), gathered in `_row_order`, each row ending in a 0.
     """
     lines = [f"c {c}" for c in comments]
     lines.append(f"p cnf {instance.n_cols} {instance.m_rows}")
     if instance.weight_kind == WEIGHTED:
         for c, w in enumerate(instance.col_weights, start=1):
             lines.append(f"w {c} {_fmt_weight(w)}")
-    for clause in instance.rows:
-        lits = sorted(clause, key=abs)
-        lines.append(" ".join(str(lit) for lit in lits) + " 0")
-    return "\n".join(lines) + "\n"
+    lengths, flat = instance._literals
+    order, _ = _row_order(np.abs(flat),
+                          np.arange(lengths.size).repeat(lengths))
+    tokens = np.insert(_per_literal(flat[order], str), np.cumsum(lengths),
+                       "0\n")
+    lines.append(" ".join(tokens.tolist()).replace("\n ", "\n"))
+    return "\n".join(lines)
 
 
 def _missing(tokens: list[str], pos: int, what: str) -> str:

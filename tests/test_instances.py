@@ -2,6 +2,7 @@ import copy
 import importlib.util
 import math
 import pickle
+import random
 import tracemalloc
 from dataclasses import replace
 from itertools import chain
@@ -10,7 +11,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bglab.cover as cover_module
@@ -906,6 +907,110 @@ def test_rows_made_on_first_read_leave_every_result_alone(read):
                                      read_first.m_rows, rows,
                                      read_first.col_weights,
                                      read_first.weight_kind)
+
+
+def _row_tuple_write_cnf(inst, comments=()):
+    """`write_cnf` as written over the row tuples."""
+    lines = [f"c {c}" for c in comments]
+    lines.append(f"p cnf {inst.n_cols} {inst.m_rows}")
+    if inst.weight_kind == WEIGHTED:
+        for c, w in enumerate(inst.col_weights, start=1):
+            lines.append(f"w {c} {instances_module._fmt_weight(w)}")
+    for clause in inst.rows:
+        lits = sorted(clause, key=abs)
+        lines.append(" ".join(str(lit) for lit in lits) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def _row_tuple_relabel(inst, perm):
+    """The rows and weights `permute_columns` gives, relabelled over the
+    row tuples."""
+    inverse = {col: idx for idx, col in enumerate(perm, start=1)}
+    rows = tuple(tuple(sorted(((1 if lit > 0 else -1) * inverse[abs(lit)]
+                               for lit in clause), key=abs))
+                 for clause in inst.rows)
+    return rows, tuple(inst.col_weights[col - 1] for col in perm)
+
+
+@st.composite
+def unsorted_instances(draw):
+    """A valid unate, binate or weighted instance whose rows hold their
+    literals in drawn order. The literals' range (0 included) is wider
+    than their count in some draws and narrower in others."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["unate", "binate", "weighted"]))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        cols = draw(st.lists(st.integers(1, n), min_size=1,
+                             max_size=min(n, 6), unique=True))
+        rows.append(tuple(-c if kind != "unate" and draw(st.booleans())
+                          else c for c in cols))
+    weights = (tuple(draw(st.lists(st.sampled_from(WEIGHT_POOL),
+                                   min_size=n, max_size=n)))
+               if kind == "weighted" else (1.0,) * n)
+    return BigraphInstance(name="u", n_cols=n, m_rows=len(rows),
+                           rows=tuple(rows), col_weights=weights,
+                           weight_kind=WEIGHTED if kind == "weighted"
+                           else UNIT)
+
+
+@FEWER
+@given(unsorted_instances(), st.lists(st.text("c w0 1-\n\t", max_size=6),
+                                      max_size=3), st.randoms())
+@example(BigraphInstance("wide", 1000, 2, ((1000, -1), (-500,)),
+                         (1.0,) * 1000, UNIT), ["a\n b"], random.Random(1))
+def test_array_writer_and_relabel_equal_row_tuple_ones(inst, comments, rs):
+    comments = tuple(comments)
+    text = write_cnf(inst, comments)
+    assert text == _row_tuple_write_cnf(inst, comments)
+    # a reader's arrays, with the literals sorted within each row
+    parsed = parse_cnf(write_cnf(inst))
+    assert write_cnf(parsed, comments) == text
+    perm = tuple(rs.sample(range(1, inst.n_cols + 1), inst.n_cols))
+    for made in (inst, parsed):
+        permuted = permute_columns(made, perm)
+        rows, weights = _row_tuple_relabel(made, perm)
+        assert "rows" not in vars(permuted)
+        assert (permuted.n_cols, permuted.m_rows, permuted.col_weights,
+                permuted.weight_kind) == (inst.n_cols, inst.m_rows, weights,
+                                          inst.weight_kind)
+        _assert_literals_match_rows(permuted)
+        assert permuted.rows == rows
+
+
+def _fields(inst):
+    return (inst.n_cols, inst.m_rows, inst.rows, inst.col_weights,
+            inst.weight_kind)
+
+
+@HYPOTHESIS
+@given(valid_instances(), st.data())
+def test_equal_exactly_when_fields_are_equal(a, data):
+    # b is a relative of a, or a second draw
+    b = data.draw(st.sampled_from([
+        lambda: parse_cnf(write_cnf(a), name="other"),
+        lambda: replace(a, name="renamed"),
+        lambda: replace(a, rows=a.rows[::-1]),
+        lambda: replace(a, rows=((-a.rows[0][0],) + a.rows[0][1:],)
+                        + a.rows[1:]),
+        lambda: replace(a, weight_kind=WEIGHTED),
+        lambda: data.draw(valid_instances())]))()
+    assert (a == b) == (b == a) == (_fields(a) == _fields(b))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_identity_text_and_isomorphs_leave_rows_unmade():
+    inst = parse_cnf(CHVATAL_TEXT, name="chvatal")
+    other = parse_cnf(CHVATAL_TEXT, name="chvatal")
+    assert inst == other and hash(inst) == hash(other)
+    assert "chvatal" in repr(inst)
+    assert write_cnf(inst) == CHVATAL_TEXT.replace(
+        "c worst-case greedy construction\n", "")
+    iso, _ = gen_isomorph(inst, 3)
+    assert iso != inst
+    for made in (inst, other, iso):
+        assert "rows" not in vars(made)
 
 
 @HYPOTHESIS
